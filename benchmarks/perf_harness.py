@@ -36,10 +36,6 @@ def main() -> int:
     parser.add_argument("--check-floor", action="store_true",
                         help="exit non-zero if engine events/sec falls "
                              "below the committed regression floor")
-    parser.add_argument("--compare-kernel", action="store_true",
-                        help="also run the engine grid on both drain-loop "
-                             "legs (reference vs REPRO_TLS_KERNEL) and exit "
-                             "non-zero unless they are byte-identical")
     parser.add_argument("--profile", action="store_true",
                         help="skip the bench; cProfile one representative "
                              "cell and write the top-30 listings "
@@ -54,15 +50,11 @@ def main() -> int:
         return 0
 
     report = run_bench(smoke=args.smoke, jobs=args.jobs, seed=args.seed,
-                       output=args.output,
-                       kernel_compare=args.compare_kernel)
+                       output=args.output)
     print(render_report(report))
     if not report["determinism"]["bit_identical"]:
         return 1
     if args.check_floor and not report["floor"]["passed"]:
-        return 1
-    if (args.compare_kernel
-            and not report["kernel_compare"]["byte_identical"]):
         return 1
     return 0
 

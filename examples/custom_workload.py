@@ -69,7 +69,7 @@ def main() -> None:
 
     print("=== Cross-task dependence (out-of-order RAW) ===")
     workload = dependence_loop()
-    result = simulate(machine, MULTI_T_MV_EAGER, workload)
+    result = simulate(machine, MULTI_T_MV_EAGER, workload, record_reads=True)
     print(f"violations detected : {result.violation_events}")
     print(f"task executions squashed: {result.squashed_executions}")
     print(f"wasted busy cycles  : {result.wasted_busy_cycles:,.0f}")

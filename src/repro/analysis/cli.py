@@ -351,7 +351,6 @@ def _run_bench(args: argparse.Namespace) -> int:
         return 0
     report = run_bench(smoke=args.smoke, jobs=args.jobs, seed=args.seed,
                        output=args.bench_output,
-                       kernel_compare=args.compare_kernel,
                        fleet=args.fleet)
     print(render_report(report))
     dispatch = report.get("dispatch")
@@ -365,11 +364,6 @@ def _run_bench(args: argparse.Namespace) -> int:
         return 1
     if args.check_floor and not report["floor"]["passed"]:
         print("FAIL: engine throughput below the committed perf floor",
-              file=sys.stderr)
-        return 1
-    if (args.compare_kernel
-            and not report["kernel_compare"]["byte_identical"]):
-        print("FAIL: kernel and reference drain loops diverged",
               file=sys.stderr)
         return 1
     return 0
@@ -807,10 +801,6 @@ examples:
                               "localhost worker subprocesses: serial vs "
                               "fleet wall-clock + byte-identity on the "
                               "16-cell grid (the 'dispatch' report block)")
-    p_bench.add_argument("--compare-kernel", action="store_true",
-                         help="also A/B the REPRO_TLS_KERNEL drain loop "
-                              "against the reference loop (byte-identity "
-                              "gate)")
     p_bench.add_argument("--profile", action="store_true",
                          help="skip the bench; cProfile one representative "
                               "cell and write the top-30 cumulative listing")

@@ -5,12 +5,13 @@ measurements into external tooling. Workloads round-trip exactly;
 results serialize the measured quantities (the full memory image is
 optional, as it can be megabytes for large runs).
 
-``full=True`` serialization round-trips a :class:`SimulationResult`
-exactly (every field, including task timings and observed reads); it is
-what the on-disk result cache (:mod:`repro.runner.cache`) stores, and
-:func:`canonical_result_bytes` derives the deterministic byte form used
-to assert that serial, process-pool, and cache-replayed runs agree
-bit for bit.
+``full=True`` serialization round-trips every simulated field of a
+:class:`SimulationResult` (task timings included, and the read map when
+the run recorded one); the host wall clock is left out. Encoded with
+:func:`canonical_json` it is both what the result cache
+(:mod:`repro.runner.cache`) stores and :func:`canonical_result_bytes`,
+the byte form used to assert that serial, process-pool, and
+cache-replayed runs agree bit for bit.
 """
 
 from __future__ import annotations
@@ -27,6 +28,17 @@ from repro.tls.task import TaskSpec
 from repro.workloads.base import Workload
 
 _FORMAT_VERSION = 1
+
+
+def canonical_json(data: Any) -> bytes:
+    """The one canonical encoding: compact JSON with sorted keys.
+
+    Decoding and re-encoding canonical bytes gives the same bytes back
+    (keys are strings and floats print in their shortest round-trip
+    form), so a receiver can check a digest of bytes it only holds in
+    decoded form.
+    """
+    return json.dumps(data, separators=(",", ":"), sort_keys=True).encode()
 
 
 # ----------------------------------------------------------------------
@@ -87,8 +99,10 @@ def result_to_dict(result: SimulationResult,
     """A JSON-ready representation of a simulation result.
 
     ``include_image`` adds the word -> producer memory image (large).
-    ``full`` serializes *every* field so :func:`result_from_dict` can
-    rebuild the result exactly (implies ``include_image``).
+    ``full`` serializes every simulated field so :func:`result_from_dict`
+    can rebuild the result exactly (implies ``include_image``). The full
+    form omits the host-measured ``wall_clock_seconds``, and carries
+    ``observed_reads`` only when the run recorded them.
     """
     data: dict[str, Any] = {
         "format": _FORMAT_VERSION,
@@ -123,8 +137,9 @@ def result_to_dict(result: SimulationResult,
             "overflow_fetches": result.traffic.overflow_fetches,
         },
         "events_processed": result.events_processed,
-        "wall_clock_seconds": result.wall_clock_seconds,
     }
+    if not full:
+        data["wall_clock_seconds"] = result.wall_clock_seconds
     if include_image or full:
         data["memory_image"] = {
             str(word): producer
@@ -142,16 +157,21 @@ def result_to_dict(result: SimulationResult,
              t.commit_start, t.commit_end, t.squashes]
             for t in result.task_timings
         ]
-        data["observed_reads"] = [
-            [task, word, producer]
-            for (task, word), producer in sorted(
-                result.observed_reads.items())
-        ]
+        if result.observed_reads:
+            data["observed_reads"] = [
+                [task, word, producer]
+                for (task, word), producer in sorted(
+                    result.observed_reads.items())
+            ]
     return data
 
 
 def result_from_dict(data: dict[str, Any]) -> SimulationResult:
-    """Rebuild a :class:`SimulationResult` serialized with ``full=True``."""
+    """Rebuild a :class:`SimulationResult` serialized with ``full=True``.
+
+    The rebuilt result's ``wall_clock_seconds`` is 0: a stored result
+    describes the simulated machine, not the host that ran it.
+    """
     if data.get("format") != _FORMAT_VERSION:
         raise WorkloadError(
             f"unsupported result format {data.get('format')!r}")
@@ -195,7 +215,7 @@ def result_from_dict(data: dict[str, Any]) -> SimulationResult:
         },
         observed_reads={
             (int(task), int(word)): producer
-            for task, word, producer in data["observed_reads"]
+            for task, word, producer in data.get("observed_reads", ())
         },
         peak_overflow_lines=int(data["peak_overflow_lines"]),
         peak_undolog_entries=int(data["peak_undolog_entries"]),
@@ -205,21 +225,19 @@ def result_from_dict(data: dict[str, Any]) -> SimulationResult:
             data["l2_speculative_displacements"]),
         traffic=TrafficStats(**data["traffic"]),
         events_processed=int(data["events_processed"]),
-        wall_clock_seconds=float(data["wall_clock_seconds"]),
     )
 
 
 def canonical_result_bytes(result: SimulationResult) -> bytes:
     """Deterministic byte form of a result (for determinism checks).
 
-    Serializes the full result with sorted keys and drops the fields that
-    measure the *host* rather than the simulated machine
-    (``wall_clock_seconds``); two runs of the same job are bit-identical
-    under this form no matter how (or where) they executed.
+    The :func:`canonical_json` encoding of the full serialization, which
+    holds no host-measured field: two runs of the same job are
+    bit-identical under this form no matter how (or where) they
+    executed. For a result without metrics these are exactly the bytes
+    the result cache stores.
     """
-    data = result_to_dict(result, full=True)
-    del data["wall_clock_seconds"]
-    return json.dumps(data, sort_keys=True).encode()
+    return canonical_json(result_to_dict(result, full=True))
 
 
 # ----------------------------------------------------------------------

@@ -30,10 +30,9 @@ violations — is preserved to memory-latency resolution.
 
 from __future__ import annotations
 
-import os
 import time
 from bisect import bisect_right, insort
-from typing import Any, Callable
+from typing import Callable
 
 from repro.core.config import MachineConfig
 from repro.core.events import BucketQueue
@@ -70,44 +69,13 @@ assert 1 << _LINE_SHIFT == WORDS_PER_LINE
 _KEY_SHIFT = KEY_SHIFT
 assert KEY_BIAS == 2  # the inline fast paths hard-code the +2 bias
 
-#: Version tag of the engine's timing model. Bump whenever a change alters
-#: simulated timing or statistics: the on-disk result cache
-#: (:mod:`repro.runner.cache`) keys every entry on this tag, so stale
-#: results from an older engine are never replayed as current ones.
-ENGINE_VERSION = "2"
-
-#: Environment switch for the opt-in batch-drain kernel (engine-core v3):
-#: any non-empty value other than "0"/"false"/"off" makes
-#: :meth:`Simulation.run` dispatch unobserved runs through
-#: :mod:`repro.core._kernel` instead of the in-class reference loop. The
-#: kernel module mirrors the reference loop statement for statement and
-#: is written in the mypyc-compilable subset, so an ahead-of-time
-#: compiled build can shadow it; either way the simulated behaviour is
-#: bit-identical (CI runs the golden corpus on both legs), which is why
-#: flipping the switch requires no ENGINE_VERSION bump.
-KERNEL_ENV = "REPRO_TLS_KERNEL"
-
-
-def kernel_requested() -> bool:
-    """True when :data:`KERNEL_ENV` asks for the opt-in drain kernel."""
-    value = os.environ.get(KERNEL_ENV, "")
-    return value.lower() not in ("", "0", "false", "off")
-
-
-def kernel_info() -> dict[str, Any]:
-    """Describe the kernel configuration (for bench reports and CI logs).
-
-    ``enabled`` — whether :data:`KERNEL_ENV` selects the kernel path;
-    ``compiled`` — whether the kernel module is an ahead-of-time
-    compiled extension (False means the same Python source runs, which
-    is still a valid A/B leg for byte-equality checks).
-    """
-    from repro.core import _kernel
-
-    return {
-        "enabled": kernel_requested(),
-        "compiled": not _kernel.__file__.endswith(".py"),
-    }
+#: Version tag of the engine's timing model and result format. Bump
+#: whenever a change alters simulated timing, statistics, or what a result
+#: carries: the on-disk result cache (:mod:`repro.runner.cache`) keys every
+#: entry on this tag, so stale results from an older engine are never
+#: replayed as current ones. Since "3", a result carries the
+#: read->producer map only when the run recorded it (``record_reads``).
+ENGINE_VERSION = "3"
 
 
 class Simulation:
@@ -124,6 +92,7 @@ class Simulation:
         violation_granularity: str = "word",
         trace: "TraceRecorder | None" = None,
         hook: "SimulationHook | None" = None,
+        record_reads: bool = False,
         max_events: int = _MAX_EVENTS_DEFAULT,
     ) -> None:
         if scheme.is_shaded and not allow_shaded:
@@ -146,6 +115,10 @@ class Simulation:
         #: Optional observation hook (see repro.core.hooks). ``None`` keeps
         #: the event loop free of any per-event work beyond one branch.
         self.hook = hook
+        #: Fill each task's read -> producer map (``result.observed_reads``)
+        #: for the sequential-semantics checks. Off by default: the map is
+        #: large and only the conformance oracle and tests read it.
+        self.record_reads = record_reads
         if violation_granularity not in ("word", "line"):
             raise ConfigurationError(
                 f"violation_granularity must be 'word' or 'line', got "
@@ -240,9 +213,6 @@ class Simulation:
         for run in self.runs.values():
             run.step_kind, run.step_word, run.step_busy = compile_steps(
                 run.spec, ipc)
-        # Opt-in drain kernel (resolved once per simulation so tests can
-        # flip the environment switch between runs).
-        self._use_kernel = kernel_requested()
 
         # Statistics.
         self.traffic = TrafficStats()
@@ -290,10 +260,6 @@ class Simulation:
         try:
             if hook is not None:
                 self._drain_events_hooked(hook)
-            elif self._use_kernel:
-                from repro.core import _kernel
-
-                _kernel.drain(self)
             else:
                 self._drain_events()
         finally:
@@ -305,12 +271,6 @@ class Simulation:
 
     def _drain_events(self) -> None:
         """Hot batched dispatch loop (no hook attached) — engine-core v3.
-
-        Reference implementation of the batch-drain kernel; the opt-in
-        compiled path (:mod:`repro.core._kernel`, selected via
-        :data:`KERNEL_ENV`) mirrors this loop statement for statement,
-        and CI asserts both produce byte-identical results. Keep the two
-        in lock-step when editing either.
 
         Structure: :meth:`BucketQueue.pop_batch
         <repro.core.events.BucketQueue.pop_batch>` hands over every
@@ -354,6 +314,7 @@ class Simulation:
         inflight_live = self._inflight_live
         lat_l1 = self._lat_l1f
         is_sv = self._is_sv
+        record_reads = self.record_reads
         # The inline read/write paths implement word-granularity
         # violation tracking only; the conservative line-granularity
         # mode takes the method path for every memory op.
@@ -452,9 +413,10 @@ class Simulation:
                                                 or producer < previous):
                                             readers[tid] = producer
                                     run.read_words.add(word)
-                                observed = run.observed_reads
-                                if word not in observed:
-                                    observed[word] = producer
+                                if record_reads:
+                                    observed = run.observed_reads
+                                    if word not in observed:
+                                        observed[word] = producer
                                 run.op_index = i + 1
                                 inflight_start[pid] = when
                                 inflight_busy[pid] = 0.0
@@ -722,7 +684,7 @@ class Simulation:
             self.directory.record_read(word, run.task_id, producer)
             if producer != run.task_id:
                 run.read_words.add(word)
-        if word not in run.observed_reads:
+        if self.record_reads and word not in run.observed_reads:
             run.observed_reads[word] = producer
         return latency, 0.0
 

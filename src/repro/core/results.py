@@ -94,6 +94,7 @@ class SimulationResult:
     #: (reader task, word) -> producer observed at the committed attempt's
     #: first read. Sequential semantics require this to equal the last
     #: program-order writer before the read (see Workload.sequential_reads).
+    #: Empty unless the run recorded reads (``record_reads=True``).
     observed_reads: dict[tuple[int, int], int] = field(default_factory=dict)
     #: Peak lines resident in any overflow area / undo log.
     peak_overflow_lines: int = 0
@@ -108,8 +109,9 @@ class SimulationResult:
     #: Engine self-reported throughput: discrete events processed and the
     #: host wall-clock seconds the run took. ``wall_clock_seconds`` is a
     #: measurement of the *host*, not of the simulated machine — it varies
-    #: run to run and is excluded from the deterministic serialized form
-    #: (see :func:`repro.analysis.serialization.canonical_result_bytes`).
+    #: run to run, so it is set on live results only and excluded from the
+    #: stored and canonical forms (see
+    #: :func:`repro.analysis.serialization.canonical_result_bytes`).
     events_processed: int = 0
     wall_clock_seconds: float = 0.0
     #: Observability attachments, populated only when the run carried a

@@ -18,13 +18,15 @@ point, not an afterthought:
   (or a requeue race) want the same cell, one computation feeds every
   waiter, and late duplicate results are discarded — after the digest
   cross-check below.
-* **Silently-divergent fleets are refused.** Every result envelope
-  carries the canonical-result digest and the worker's fingerprint
-  (python version, platform, ``ENGINE_VERSION``). Registration already
-  refuses engine-version mismatches outright; beyond that, whenever two
-  workers ever compute the *same* key, their digests are cross-checked
-  — a mismatch poisons the coordinator, fails every active sweep with
-  :class:`FleetDivergenceError` naming both hosts, and refuses all
+* **Lying and silently-divergent fleets are refused.** Every result
+  envelope carries the SHA-256 of its payload bytes, and the worker's
+  fingerprint (python version, platform, ``ENGINE_VERSION``) is known
+  from registration, which refuses engine-version mismatches outright.
+  Each envelope's bytes are hashed on arrival and must match the digest
+  the worker claims; beyond that, whenever two workers ever compute the
+  *same* key, their digests are cross-checked. Either mismatch poisons
+  the coordinator, fails every active sweep with
+  :class:`FleetDivergenceError` naming the host(s), and refuses all
   further work. A heterogeneous fleet must prove bit-identity to stay.
 
 :class:`FleetDispatcher` is the runner-facing adapter: it implements
@@ -56,6 +58,7 @@ from repro.dist.protocol import (
     write_frame,
 )
 from repro.errors import ReproError
+from repro.runner.cache import canonical_payload_digest
 
 #: Default seconds between required worker heartbeats (sent to workers
 #: in the ``registered`` frame).
@@ -82,7 +85,8 @@ class FleetError(ReproError):
 
 
 class FleetDivergenceError(FleetError):
-    """Two workers produced different bytes for the same job.
+    """A worker's bytes did not match its digest, or two workers
+    produced different bytes for the same job.
 
     Raised to every active sweep and latched: a coordinator that has
     observed divergence refuses all further work, because any result
@@ -117,7 +121,8 @@ class FleetStats:
     #: Keys that joined an already in-flight computation instead of
     #: dispatching again (fleet-wide single-compute).
     keys_joined: int = 0
-    #: Digest cross-check failures (each one poisons the coordinator).
+    #: Envelopes whose bytes did not hash to their digest, plus digest
+    #: cross-check failures (each one poisons the coordinator).
     digest_mismatches: int = 0
 
     def to_dict(self) -> dict[str, int]:
@@ -194,9 +199,9 @@ class _ComputeCall:
             queue.Queue())
         self.failed = False
 
-    def offer(self, key: str, zraw: bytes) -> None:
-        """Deliver one key's compressed payload (loop thread)."""
-        self.queue.put(("result", key, zraw))
+    def offer(self, key: str, raw: bytes) -> None:
+        """Deliver one key's verified payload bytes (loop thread)."""
+        self.queue.put(("result", key, raw))
 
     def fail(self, error: BaseException) -> None:
         """Deliver a terminal failure once (loop thread)."""
@@ -348,7 +353,8 @@ class FleetCoordinator:
     def execute(self, pending: Sequence[tuple[str, Any]],
                 deliver: Callable[[str, bytes], None]) -> None:
         """Compute every pending job on the fleet, delivering
-        ``(key, zlib-compressed payload bytes)`` pairs as they land.
+        ``(key, payload bytes)`` pairs as they land, each verified
+        against its envelope digest.
 
         Blocks until all keys are delivered; raises :class:`FleetError`
         on exhausted retries / timeout and
@@ -463,7 +469,21 @@ class FleetCoordinator:
 
     def _record_result(self, worker: _Worker, key: str, digest: str,
                        source: str, zraw: bytes) -> None:
-        """Cross-check and deliver one result envelope."""
+        """Verify, cross-check and deliver one result envelope."""
+        if self._poisoned is not None:
+            return  # a refused fleet's results reach no one
+        try:
+            raw: bytes | None = zlib.decompress(zraw)
+        except zlib.error:
+            raw = None
+        if raw is None or canonical_payload_digest(raw) != digest:
+            self.stats.digest_mismatches += 1
+            self._poison(
+                f"digest mismatch on key {key[:16]}…: worker "
+                f"{worker.name} sent bytes that do not hash to the "
+                f"{digest[:12]}… its envelope claims — refusing results "
+                f"from this fleet")
+            return
         prior = self._digests.get(key)
         if prior is not None and prior[0] != digest:
             self.stats.digest_mismatches += 1
@@ -488,7 +508,7 @@ class FleetCoordinator:
             return
         self.stats.results_received += 1
         for call in waiters:
-            call.offer(key, zraw)
+            call.offer(key, raw)
 
     # ------------------------------------------------------------------
     # Connection handling
@@ -753,8 +773,8 @@ class FleetDispatcher:
     optionally, a set of locally spawned worker subprocesses — the
     one-command path ``repro-tls sweep --dispatch fleet --workers N``
     and the bench harness use. ``compute`` blocks until the fleet has
-    delivered every payload, decompressing each worker envelope into
-    the canonical payload bytes the runner's cache tiers store.
+    delivered every payload as the verified canonical bytes the
+    runner's cache tiers store.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
@@ -832,9 +852,7 @@ class FleetDispatcher:
         self.start()
         self.coordinator.wait_for_workers(self.min_workers,
                                           self.start_timeout)
-        self.coordinator.execute(
-            pending,
-            lambda key, zraw: on_result(key, zlib.decompress(zraw)))
+        self.coordinator.execute(pending, on_result)
 
     def stats_dict(self) -> dict[str, Any]:
         """Counters + gauges (surfaced in ``/v1/cache/stats``)."""

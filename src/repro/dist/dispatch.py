@@ -43,7 +43,8 @@ class Dispatcher(Protocol):
     key, from the calling thread, with the *uncompressed* canonical
     payload bytes — the same bytes
     :func:`repro.runner.runner.payload_from_result` +
-    ``json.dumps`` produce in-process.
+    :func:`~repro.analysis.serialization.canonical_json` produce
+    in-process.
     """
 
     def compute(self, pending: PendingJobs,

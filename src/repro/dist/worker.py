@@ -6,11 +6,12 @@ coordinator, registers with its :func:`~repro.dist.protocol.\
 worker_fingerprint` (refused outright on an engine-version mismatch),
 then loops: ``pull`` a chunk, execute each job through *exactly* the
 pipeline the in-process pool path uses (``execute_job`` →
-``payload_from_result`` → compact JSON bytes), and push one ``result``
+``payload_from_result`` → canonical JSON bytes), and push one ``result``
 frame of per-job envelopes. Bit-identity across hosts is therefore by
-construction, and each envelope's canonical digest lets the coordinator
-prove it (:meth:`FleetCoordinator._record_result
-<repro.dist.coordinator.FleetCoordinator>` cross-check).
+construction. Each envelope carries the SHA-256 of its payload bytes,
+which the coordinator checks on arrival and cross-checks between
+workers (:meth:`FleetCoordinator._record_result
+<repro.dist.coordinator.FleetCoordinator>`).
 
 Two behaviors make the fleet a cache *extension* rather than a cache
 bypass:
@@ -24,9 +25,10 @@ bypass:
   lets the current chunk finish, sends ``bye`` so in-flight work is
   requeued penalty-free, and exits cleanly.
 
-The ``fail_after_chunks`` / ``forge_digest`` / ``stall_after_pull``
-knobs are fault injection for the fleet's test suite — a crashing
-worker, a divergent worker, and a silently wedged worker.
+The ``fail_after_chunks`` / ``forge_digest`` / ``diverge`` /
+``stall_after_pull`` knobs are fault injection for the fleet's test
+suite — a crashing worker, a lying worker, a divergent worker, and a
+silently wedged worker.
 """
 
 from __future__ import annotations
@@ -76,8 +78,10 @@ class WorkerAgent:
     enables the warm-key short circuit. The fault-injection knobs exist
     for tests: ``fail_after_chunks=N`` drops the connection abruptly
     when handed chunk ``N+1`` (a crash mid-sweep), ``forge_digest``
-    reports a bogus canonical digest on every envelope (a divergent
-    host), and ``stall_after_pull`` goes completely silent — no
+    reports a digest that does not match the bytes it sends (a lying
+    host), ``diverge`` sends a different result with its true digest (a
+    host whose engine disagrees), and ``stall_after_pull`` goes
+    completely silent — no
     heartbeats, no result — after accepting a chunk (a wedged host the
     heartbeat monitor must evict).
     """
@@ -87,6 +91,7 @@ class WorkerAgent:
                  connect_timeout: float = 30.0,
                  fail_after_chunks: int | None = None,
                  forge_digest: bool = False,
+                 diverge: bool = False,
                  stall_after_pull: bool = False,
                  stall_seconds: float = 3600.0) -> None:
         self.host, self.port = parse_address(address)
@@ -94,6 +99,7 @@ class WorkerAgent:
         self.connect_timeout = connect_timeout
         self.fail_after_chunks = fail_after_chunks
         self.forge_digest = forge_digest
+        self.diverge = diverge
         self.stall_after_pull = stall_after_pull
         self.stall_seconds = stall_seconds
         self.worker_id: str | None = None
@@ -181,9 +187,10 @@ class WorkerAgent:
             self, jobs: list[Any]) -> list[tuple[str, str, str, bytes]]:
         """Run one chunk's jobs; returns result envelopes to pack.
 
-        Every job resolves through the cache first (``source: "cache"``)
-        and stores its freshly computed payload back, so the fleet and
-        the local pool leave identical cache artifacts.
+        Every job resolves through the cache first (``source: "cache"``;
+        an entry that does not parse is recomputed) and stores its
+        freshly computed payload back, so the fleet and the local pool
+        leave identical cache artifacts.
         """
         from repro.runner.runner import (
             _encode_payload,
@@ -195,15 +202,18 @@ class WorkerAgent:
         envelopes: list[tuple[str, str, str, bytes]] = []
         for job in jobs:
             key = job.cache_key()
-            raw = self.cache.load_raw(key) if self.cache is not None \
+            entry = self.cache.load_entry(key) if self.cache is not None \
                 else None
-            if raw is not None:
+            if entry is not None:
                 source = "cache"
+                raw = entry[0]
                 self.cache_hits += 1
             else:
                 source = "computed"
-                raw = _encode_payload(
-                    payload_from_result(execute_job(job)))
+                payload = payload_from_result(execute_job(job))
+                if self.diverge:
+                    payload["total_cycles"] += 1.0
+                raw = _encode_payload(payload)
                 if self.cache is not None:
                     self.cache.store_raw(key, raw)
             digest = ("0" * 64 if self.forge_digest

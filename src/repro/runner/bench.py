@@ -72,7 +72,7 @@ def run_engine_bench(scale: float = 1.0, seed: int = 0,
                      ) -> dict[str, Any]:
     """Measure raw engine throughput (events/second), serial, no cache."""
     from repro.core.config import NUMA_16
-    from repro.core.engine import Simulation, kernel_info
+    from repro.core.engine import Simulation
     from repro.workloads.apps import APPLICATIONS
 
     schemes = _engine_bench_schemes()
@@ -85,7 +85,6 @@ def run_engine_bench(scale: float = 1.0, seed: int = 0,
             events += result.events_processed
     elapsed = time.perf_counter() - started
     eps = events / elapsed if elapsed > 0 else 0.0
-    kernel = kernel_info()
     report: dict[str, Any] = {
         "apps": list(apps),
         "schemes": [s.name for s in schemes],
@@ -93,8 +92,6 @@ def run_engine_bench(scale: float = 1.0, seed: int = 0,
         "events": events,
         "seconds": round(elapsed, 3),
         "events_per_second": round(eps, 1),
-        "kernel_enabled": kernel["enabled"],
-        "kernel_compiled": kernel["compiled"],
     }
     if scale == 1.0 and apps == ENGINE_BENCH_APPS:
         report["seed_events_per_second"] = SEED_EVENTS_PER_SECOND
@@ -276,65 +273,6 @@ def check_floor(engine_report: dict[str, Any],
     }
 
 
-def compare_kernel(scale: float = 1.0, seed: int = 0) -> dict[str, Any]:
-    """A/B the opt-in drain kernel against the reference loop.
-
-    Runs the engine microbench grid twice — once with
-    :data:`repro.core.engine.KERNEL_ENV` unset (the in-class reference
-    loop) and once with it set — and byte-compares the canonical
-    serialization of every cell. The two legs must be bit-identical:
-    the kernel mirrors the reference loop statement for statement, so
-    any divergence is a lock-step bug, not a tolerance question.
-
-    Returns throughput for both legs, whether the kernel module loaded
-    as a compiled extension, and the ``byte_identical`` verdict.
-    """
-    from repro.analysis.serialization import canonical_result_bytes
-    from repro.core.config import NUMA_16
-    from repro.core.engine import KERNEL_ENV, Simulation, kernel_info
-    from repro.workloads.apps import APPLICATIONS
-
-    schemes = _engine_bench_schemes()
-    legs: dict[str, dict[str, Any]] = {}
-    blobs: dict[str, list[bytes]] = {}
-    previous = os.environ.get(KERNEL_ENV)
-    try:
-        for leg, env_value in (("reference", None), ("kernel", "1")):
-            if env_value is None:
-                os.environ.pop(KERNEL_ENV, None)
-            else:
-                os.environ[KERNEL_ENV] = env_value
-            events = 0
-            leg_blobs: list[bytes] = []
-            started = time.perf_counter()
-            for app in ENGINE_BENCH_APPS:
-                workload = APPLICATIONS[app].generate(seed=seed, scale=scale)
-                for scheme in schemes:
-                    result = Simulation(NUMA_16, scheme, workload).run()
-                    events += result.events_processed
-                    leg_blobs.append(canonical_result_bytes(result))
-            elapsed = time.perf_counter() - started
-            eps = events / elapsed if elapsed > 0 else 0.0
-            legs[leg] = {
-                "events": events,
-                "seconds": round(elapsed, 3),
-                "events_per_second": round(eps, 1),
-            }
-            blobs[leg] = leg_blobs
-    finally:
-        if previous is None:
-            os.environ.pop(KERNEL_ENV, None)
-        else:
-            os.environ[KERNEL_ENV] = previous
-    return {
-        "scale": scale,
-        "kernel_compiled": kernel_info()["compiled"],
-        "reference": legs["reference"],
-        "kernel": legs["kernel"],
-        "byte_identical": blobs["reference"] == blobs["kernel"],
-    }
-
-
 #: Default destination of the :func:`profile_engine` listing.
 DEFAULT_PROFILE_PATH = Path("docs/report/profile.txt")
 
@@ -388,7 +326,6 @@ def profile_engine(output: str | Path = DEFAULT_PROFILE_PATH,
 def run_bench(smoke: bool = False, jobs: int | None = None,
               seed: int = 0,
               output: str | Path | None = "BENCH_sweep.json",
-              kernel_compare: bool = False,
               fleet: int = 0,
               ) -> dict[str, Any]:
     """Full perf harness; writes the JSON report to ``output``.
@@ -398,10 +335,6 @@ def run_bench(smoke: bool = False, jobs: int | None = None,
     under 30 seconds; the numbers are then only sanity checks, not
     comparable to the seed baselines (the floor check still applies:
     events/second is roughly scale-independent).
-
-    ``kernel_compare=True`` adds a ``kernel_compare`` section: the
-    engine grid run on both drain-loop legs (reference and
-    ``REPRO_TLS_KERNEL``) with a byte-identity verdict.
 
     ``fleet=N`` (N >= 2) adds a ``dispatch`` section: the 16-cell grid
     run serially and through a fleet of N localhost worker
@@ -420,8 +353,6 @@ def run_bench(smoke: bool = False, jobs: int | None = None,
         "determinism": check_determinism(
             scale=0.1 if smoke else 0.25, seed=seed),
     }
-    if kernel_compare:
-        report["kernel_compare"] = compare_kernel(scale=scale, seed=seed)
     if fleet >= 2:
         report["dispatch"] = run_dispatch_bench(
             workers=fleet, scale=scale, seed=seed)
@@ -467,15 +398,6 @@ def render_report(report: dict[str, Any]) -> str:
             f"  floor  : {floor['measured_events_per_second']:,.0f} ev/s vs "
             f"committed floor {floor['floor_events_per_second']:,.0f} ev/s: "
             + ("pass" if floor["passed"] else "FAIL (perf regression!)"))
-    if "kernel_compare" in report:
-        compare = report["kernel_compare"]
-        lines.append(
-            f"  kernel : reference "
-            f"{compare['reference']['events_per_second']:,.0f} ev/s | "
-            f"kernel ({'compiled' if compare['kernel_compiled'] else 'source'})"
-            f" {compare['kernel']['events_per_second']:,.0f} ev/s | "
-            + ("byte-identical"
-               if compare["byte_identical"] else "MISMATCH (lock-step bug!)"))
     if "dispatch" in report:
         dispatch = report["dispatch"]
         lines.append(

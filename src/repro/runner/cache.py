@@ -3,16 +3,21 @@
 Entries are keyed by the SHA-256 digest of the job's canonical identity
 (machine config + scheme + workload fingerprint + engine options +
 :data:`~repro.core.engine.ENGINE_VERSION`) and hold the *full* JSON
-serialization of the result, so a cache replay reconstructs the exact
-:class:`~repro.core.results.SimulationResult` the original run produced.
+serialization of the result in its canonical encoding
+(:func:`~repro.analysis.serialization.canonical_json`), so a cache
+replay reconstructs the exact simulated
+:class:`~repro.core.results.SimulationResult` the original run produced,
+and the stored bytes are the bytes a result's digest is taken over.
 
 The stack is layered:
 
 * :class:`MemoryResultCache` — a bounded in-process LRU of serialized
-  payload *bytes*. It stores bytes rather than decoded dicts because
-  payload deserialization (:func:`~repro.runner.runner.result_from_payload`)
-  mutates its input; handing every replay a fresh ``json.loads`` of the
-  stored bytes keeps hits side-effect-free and bit-identical.
+  payload *bytes*, each kept with its SHA-256 digest (computed once, as
+  the entry enters the tier). It stores bytes rather than decoded dicts
+  because payload deserialization
+  (:func:`~repro.runner.runner.result_from_payload`) mutates its input;
+  handing every replay a fresh ``json.loads`` of the stored bytes keeps
+  hits side-effect-free and bit-identical.
 * :class:`ShardedResultCache` — the shared tier: payload-level
   load/store semantics over a pluggable :class:`CacheBackend` byte
   store. The default :class:`DirectoryBackend` shards entries into
@@ -29,6 +34,7 @@ The stack is layered:
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import re
@@ -84,6 +90,20 @@ class CacheStats:
                 "stores": self.stores, "evictions": self.evictions}
 
 
+def canonical_payload_digest(raw: bytes) -> str:
+    """SHA-256 of a stored payload's bytes.
+
+    Stored bytes are canonical
+    (:func:`~repro.analysis.serialization.canonical_json`), so this is the
+    same digest whether the result was computed here, by a CLI run, by a
+    service frontend, or by a fleet worker on another host (the digest
+    every fleet result envelope and every HTTP envelope carries). For a
+    result without metrics it equals the SHA-256 of
+    :func:`~repro.analysis.serialization.canonical_result_bytes`.
+    """
+    return hashlib.sha256(raw).hexdigest()
+
+
 #: Default entry bound for the in-memory tier. A full paper sweep is a
 #: few hundred cells; payloads are tens of KB, so this stays modest.
 DEFAULT_MEMORY_ENTRIES = 256
@@ -92,37 +112,53 @@ DEFAULT_MEMORY_ENTRIES = 256
 class MemoryResultCache:
     """Bounded in-process LRU tier holding serialized payload bytes.
 
-    ``load``/``store`` speak ``bytes`` (compact JSON); the runner decodes
-    on every hit so no caller can mutate another caller's payload. A hit
-    refreshes recency; capacity overflow evicts the least recently used
-    entry and counts it in :attr:`stats.evictions <CacheStats.evictions>`.
+    ``load``/``store`` speak ``bytes`` (canonical JSON); the runner
+    decodes on every hit so no caller can mutate another caller's
+    payload. Each entry keeps the SHA-256 of its bytes, computed once on
+    :meth:`store`, so serving a digest (:meth:`digest`) never hashes. A
+    hit refreshes recency; capacity overflow evicts the least recently
+    used entry and counts it in :attr:`stats.evictions
+    <CacheStats.evictions>`.
     """
 
     def __init__(self, max_entries: int = DEFAULT_MEMORY_ENTRIES) -> None:
         if max_entries < 1:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
         self.max_entries = max_entries
-        self._entries: OrderedDict[str, bytes] = OrderedDict()
+        self._entries: OrderedDict[str, tuple[bytes, str]] = OrderedDict()
         self.stats = CacheStats()
 
     def load(self, key: str) -> bytes | None:
         """The stored payload bytes for ``key`` (refreshes LRU recency)."""
-        raw = self._entries.get(key)
-        if raw is None:
+        entry = self._entries.get(key)
+        if entry is None:
             self.stats.misses += 1
             return None
         self._entries.move_to_end(key)
         self.stats.hits += 1
-        return raw
+        return entry[0]
+
+    def digest(self, key: str) -> str | None:
+        """The SHA-256 hex digest of ``key``'s bytes, if resident.
+
+        No recency refresh and no hit accounting: callers ask for the
+        digest of an entry they just loaded.
+        """
+        entry = self._entries.get(key)
+        return entry[1] if entry is not None else None
 
     def store(self, key: str, raw: bytes) -> None:
-        """Insert (or refresh) ``key``; evicts the LRU entry when full."""
+        """Insert (or refresh) ``key``; evicts the LRU entry when full.
+
+        The entry's digest is computed here, once per stored entry.
+        """
+        digest = canonical_payload_digest(raw)
         entries = self._entries
         if key in entries:
             entries.move_to_end(key)
-            entries[key] = raw
+            entries[key] = (raw, digest)
             return
-        entries[key] = raw
+        entries[key] = (raw, digest)
         self.stats.stores += 1
         if len(entries) > self.max_entries:
             entries.popitem(last=False)
@@ -255,11 +291,13 @@ class DirectoryBackend:
 class ShardedResultCache:
     """The shared result tier: payload semantics over a byte backend.
 
-    Speaks both decoded payload dicts (:meth:`load`/:meth:`store`) and
-    raw serialized bytes (:meth:`load_raw`/:meth:`store_raw` — the
-    zero-copy path the sweep runner and the service warm path use).
-    A corrupt entry (unreadable bytes or invalid JSON) is a miss; the
-    next store overwrites it. All hit/miss/store accounting lives here,
+    Reads return the stored bytes with their decoded payload
+    (:meth:`load_entry` — the path the sweep runner, the service and
+    fleet workers use) or the payload alone (:meth:`load`); writes take
+    a payload (:meth:`store`) or already-serialized bytes
+    (:meth:`store_raw`). A corrupt entry (unreadable bytes or invalid
+    JSON) is a miss, so it is never served or promoted; the next store
+    overwrites it. All hit/miss/store accounting lives here,
     backend-independent.
     """
 
@@ -268,34 +306,34 @@ class ShardedResultCache:
         self.stats = CacheStats()
 
     # ------------------------------------------------------------------
-    def load_raw(self, key: str) -> bytes | None:
-        """The stored payload bytes for ``key``, or ``None`` on a miss."""
-        raw = self.backend.get(key)
-        if raw is None:
-            self.stats.misses += 1
-            return None
-        self.stats.hits += 1
-        return raw
+    def load_entry(self, key: str) -> tuple[bytes, dict[str, Any]] | None:
+        """The stored bytes for ``key`` and their decoded payload.
 
-    def load(self, key: str) -> dict[str, Any] | None:
-        """The decoded payload for ``key``; invalid JSON is a miss."""
+        Bytes that do not decode to a JSON object (a torn or foreign
+        file) are a miss, so no caller serves or promotes them.
+        """
         raw = self.backend.get(key)
         if raw is not None:
             try:
                 payload = json.loads(raw)
-            except (json.JSONDecodeError, UnicodeDecodeError):
+            except ValueError:  # JSONDecodeError, UnicodeDecodeError
                 payload = None
             if isinstance(payload, dict):
                 self.stats.hits += 1
-                return payload
+                return raw, payload
         self.stats.misses += 1
         return None
 
+    def load(self, key: str) -> dict[str, Any] | None:
+        """The decoded payload for ``key``; invalid JSON is a miss."""
+        entry = self.load_entry(key)
+        return entry[1] if entry is not None else None
+
     def store(self, key: str, payload: dict[str, Any]) -> None:
-        """Atomically persist ``payload`` under ``key``."""
-        self.store_raw(
-            key, json.dumps(payload, separators=(",", ":")).encode()
-        )
+        """Atomically persist ``payload`` under ``key`` (canonical bytes)."""
+        from repro.analysis.serialization import canonical_json
+
+        self.store_raw(key, canonical_json(payload))
 
     def store_raw(self, key: str, raw: bytes) -> None:
         """Atomically persist already-serialized JSON ``raw`` under ``key``.

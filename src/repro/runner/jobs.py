@@ -97,6 +97,12 @@ class SimJob:
     #: identity anyway: a checked run *proves* its invariants held, and a
     #: replayed unchecked result must never masquerade as that proof.
     check_invariants: bool = False
+    #: Record each committed task's read -> producer map on
+    #: ``result.observed_reads`` (and in the stored payload). A pure
+    #: observer, off by default because the map is over half of a
+    #: payload and only the conformance oracle reads it; part of the
+    #: cache identity because a replayed plain result has no map.
+    record_reads: bool = False
     #: Attach a :class:`repro.obs.MetricsHook` and carry its snapshot on
     #: ``result.metrics`` (and through worker/cache payloads). A pure
     #: observer, but part of the cache identity: a replayed plain result
@@ -165,6 +171,7 @@ class SimJob:
             "high_level_patterns": self.high_level_patterns,
             "violation_granularity": self.violation_granularity,
             "check_invariants": self.check_invariants,
+            "record_reads": self.record_reads,
             "collect_metrics": self.collect_metrics,
             "traced": self.traced,
         }

@@ -17,10 +17,14 @@ simulations through. It
   a serial fallback), or a
   :class:`~repro.dist.coordinator.FleetDispatcher` shipping the same
   chunks to remote workers;
-* ships worker results back as zlib-compressed JSON bytes (one compact
-  buffer per job instead of a pickled object graph), and
-* reconstructs every pooled or replayed result through the same full
-  JSON serialization, so a result is bit-identical (see
+* ships worker results back as zlib-compressed canonical JSON bytes
+  (one compact buffer per job instead of a pickled object graph);
+* stores and moves those bytes as they are: the stored bytes are the
+  canonical bytes (:func:`~repro.analysis.serialization.canonical_json`),
+  so a disk hit is promoted to the memory tier without re-encoding and
+  a payload's digest is the SHA-256 of its bytes; and
+* reconstructs every pooled or replayed result from the same full
+  serialization, so a result is bit-identical (see
   :func:`~repro.analysis.serialization.canonical_result_bytes`) whether
   it was computed serially, in a worker process, replayed from the
   memory tier, or read back from disk.
@@ -32,7 +36,6 @@ execution mode can never change a result, only how fast it arrives.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import zlib
@@ -41,7 +44,11 @@ from typing import Any, Callable, Sequence
 from repro.baselines.sequential import SequentialResult, simulate_sequential
 from repro.core.engine import Simulation
 from repro.core.results import SimulationResult
-from repro.runner.cache import MemoryResultCache, ResultCache
+from repro.runner.cache import (
+    MemoryResultCache,
+    ResultCache,
+    canonical_payload_digest,  # noqa: F401 - re-exported beside the encoder
+)
 from repro.runner.jobs import SimJob
 from repro.runner.singleflight import SingleFlight
 
@@ -60,8 +67,9 @@ def execute_job(job: SimJob) -> SimulationResult | SequentialResult:
     """Run one job in the current process and return its live result.
 
     Observation attachments requested by the job — invariant checker,
-    metrics hook, trace recorder — are composed here; all are pure
-    observers, so the result is bit-identical with or without them.
+    metrics hook, trace recorder, read map — are composed here; all are
+    pure observers, so the simulated statistics are identical with or
+    without them.
     """
     workload = job.resolve_workload()
     if job.scheme is None:
@@ -95,6 +103,7 @@ def execute_job(job: SimJob) -> SimulationResult | SequentialResult:
         violation_granularity=job.violation_granularity,
         hook=hook,
         trace=trace,
+        record_reads=job.record_reads,
     ).run()
     if trace is not None:
         result.trace = trace
@@ -142,30 +151,10 @@ def result_from_payload(
 
 
 def _encode_payload(payload: dict[str, Any]) -> bytes:
-    """Serialize a payload to the compact JSON bytes the tiers store."""
-    return json.dumps(payload, separators=(",", ":")).encode()
+    """Serialize a payload to the canonical bytes every tier stores."""
+    from repro.analysis.serialization import canonical_json
 
-
-def canonical_payload_digest(raw: bytes) -> str:
-    """SHA-256 of the canonical byte form of a serialized result payload.
-
-    For simulation results this decodes the payload and hashes
-    :func:`~repro.analysis.serialization.canonical_result_bytes` — the
-    exact bytes the determinism tests compare — so the digest is
-    identical whether the result was computed here, by a CLI run, by a
-    service frontend, or by a fleet worker on another host (the digest
-    every fleet result envelope carries). Sequential-baseline payloads
-    (which carry no host-measured field) hash their sorted-key JSON
-    form directly.
-    """
-    from repro.analysis.serialization import canonical_result_bytes
-
-    payload = json.loads(raw)
-    if payload.get("kind") == "sequential":
-        blob = json.dumps(payload, sort_keys=True).encode()
-    else:
-        blob = canonical_result_bytes(result_from_payload(payload))
-    return hashlib.sha256(blob).hexdigest()
+    return canonical_json(payload)
 
 
 def _worker_chunk(jobs: Sequence[SimJob]) -> list[tuple[str, bytes]]:
@@ -289,10 +278,14 @@ SingleFlight`) instead of repeating them. Lookup order per distinct job:
                 by_key[key] = result_from_payload(json.loads(raw))
                 _notify(key, "memory")
                 continue
-            payload = self.cache.load(key) if self.cache is not None else None
-            if payload is not None:
-                self.memory_cache.store(key, _encode_payload(payload))
+            entry = (self.cache.load_entry(key) if self.cache is not None
+                     else None)
+            if entry is not None:
+                # The stored bytes are already canonical: decode once to
+                # rebuild the result, promote the bytes as they are.
+                raw, payload = entry
                 by_key[key] = result_from_payload(payload)
+                self.memory_cache.store(key, raw)
                 _notify(key, "disk")
                 continue
             flight, leader = self.flights.claim(key)

@@ -12,17 +12,18 @@ callback) is marshalled back onto the event loop and fanned out to any
 number of streaming subscribers.
 
 Determinism contract, restated for the wire: a response's ``digest`` is
-the SHA-256 of the result's canonical byte form
-(:func:`~repro.analysis.serialization.canonical_result_bytes`), so a
-client can verify that what it decoded over HTTP is bit-identical to a
-local run of the same job — no matter which tier served it.
+the SHA-256 of the ``result`` bytes it carries, which are the stored
+canonical bytes (:func:`~repro.analysis.serialization.canonical_json`),
+so a client can verify that what it decoded over HTTP is bit-identical
+to a local run of the same job — no matter which tier served it. The
+memory tier keeps each entry's digest beside its bytes, so a warm
+lookup neither decodes nor hashes.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Sequence
@@ -50,11 +51,6 @@ DEFAULT_SERVICE_MEMORY_ENTRIES = 1024
 #: their full event histories) are dropped so a long-running server's
 #: memory stays bounded; running sweeps are never pruned.
 MAX_FINISHED_SWEEPS = 256
-
-#: Bound on the key → canonical-digest memo. Entries are ~100 bytes, so
-#: this is generosity, not pressure — the point is that the memo cannot
-#: grow monotonically with distinct keys served.
-MAX_DIGEST_MEMO_ENTRIES = 4096
 
 
 # Re-exported from its home in the runner layer: the digest is what the
@@ -124,10 +120,6 @@ class SimulationService:
         self._loop: asyncio.AbstractEventLoop | None = None
         self._sweeps: dict[str, SweepState] = {}
         self._sweep_seq = 0
-        #: key -> canonical digest, memoized (bounded LRU) so the warm
-        #: lookup path never re-decodes a payload it has digested
-        #: recently.
-        self._digests: OrderedDict[str, str] = OrderedDict()
         self.counters: dict[str, int] = {
             "jobs.submitted": 0,
             "sweeps.submitted": 0,
@@ -157,36 +149,34 @@ class SimulationService:
     def lookup_raw(self, key: str) -> tuple[str, bytes] | None:
         """Tiered read-only lookup: ``(source, payload bytes)`` or miss.
 
-        Memory tier first (sub-millisecond: one dict probe, no decode);
-        a disk hit is promoted into the memory tier, exactly as the
-        runner promotes. Never computes.
+        Memory tier first (sub-millisecond: one dict probe, no decode,
+        no hash); a disk hit is promoted into the memory tier, exactly
+        as the runner promotes, once its bytes are known to parse — a
+        torn entry is a miss, so a GET answers 404 and a POST
+        recomputes (and overwrites it). Never computes.
         """
         raw = self.runner.memory_cache.load(key)
         if raw is not None:
             return "memory", raw
         cache = self.runner.cache
         if cache is not None:
-            raw = cache.load_raw(key)
-            if raw is not None:
+            entry = cache.load_entry(key)
+            if entry is not None:
+                raw = entry[0]
                 self.runner.memory_cache.store(key, raw)
                 return "disk", raw
         return None
 
     def digest_for(self, key: str, raw: bytes) -> str:
-        """The (memoized) canonical digest of ``key``'s payload.
+        """The digest of ``key``'s payload bytes ``raw``.
 
-        The memo is a bounded LRU (:data:`MAX_DIGEST_MEMO_ENTRIES`):
-        a frontend serving an unbounded stream of distinct keys pays an
-        occasional re-digest instead of growing without limit.
+        Read from the memory tier, which hashed the bytes once when they
+        entered it; hashed here only if the entry was evicted since the
+        caller's lookup.
         """
-        digest = self._digests.get(key)
+        digest = self.runner.memory_cache.digest(key)
         if digest is None:
             digest = canonical_payload_digest(raw)
-            self._digests[key] = digest
-            if len(self._digests) > MAX_DIGEST_MEMO_ENTRIES:
-                self._digests.popitem(last=False)
-        else:
-            self._digests.move_to_end(key)
         return digest
 
     def envelope_bytes(self, key: str, source: str, raw: bytes,

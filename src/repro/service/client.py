@@ -8,9 +8,10 @@ request/response calls; the progress stream opens its own connection
 
 Verification is built in: :meth:`result_from_envelope` reconstructs the
 :class:`~repro.core.results.SimulationResult` and checks the envelope's
-``digest`` against the locally recomputed canonical byte form, so a
-client never silently accepts a result that differs from what a local
-run would have produced.
+``digest`` against the SHA-256 of the result's canonical bytes (which
+re-encoding the decoded ``result`` reproduces exactly), so a client
+never silently accepts a result that differs from what a local run
+would have produced.
 """
 
 from __future__ import annotations
@@ -21,7 +22,11 @@ from typing import Any, Iterator
 from urllib.parse import urlsplit
 
 from repro.errors import ReproError
-from repro.service.app import canonical_payload_digest
+from repro.runner.runner import (
+    _encode_payload,
+    canonical_payload_digest,
+    result_from_payload,
+)
 
 
 class ServiceClientError(ReproError):
@@ -178,21 +183,19 @@ class ServiceClient:
                              verify: bool = True) -> Any:
         """Reconstruct the result carried by a job envelope.
 
-        With ``verify`` (the default) the payload's canonical digest is
-        recomputed locally and compared against the envelope's
-        ``digest`` — a mismatch means the bytes were corrupted or the
-        server runs a different engine version, and raises.
+        With ``verify`` (the default) the payload is re-encoded to its
+        canonical bytes and their SHA-256 compared against the
+        envelope's ``digest`` — a mismatch means the bytes were
+        corrupted or the server runs a different engine version, and
+        raises.
         """
-        from repro.runner.runner import result_from_payload
-
         payload = envelope.get("result")
         if not isinstance(payload, dict):
             raise ServiceClientError(0, "bad_envelope",
                                      "envelope carries no result payload")
         if verify:
             expected = envelope.get("digest")
-            actual = canonical_payload_digest(
-                _encode(payload))
+            actual = canonical_payload_digest(_encode_payload(payload))
             if expected != actual:
                 raise ServiceClientError(
                     0, "digest_mismatch",

@@ -33,7 +33,7 @@ _GRANULARITIES = ("word", "line")
 #: Engine-option request fields forwarded to :class:`SimJob` verbatim
 #: (all part of the cache identity).
 _OPTION_FIELDS = ("high_level_patterns", "violation_granularity",
-                  "check_invariants", "collect_metrics")
+                  "check_invariants", "record_reads", "collect_metrics")
 
 
 class ServiceError(ReproError):
@@ -172,6 +172,7 @@ def _options_from_request(data: dict[str, Any]) -> dict[str, Any]:
                                            False),
         "violation_granularity": granularity,
         "check_invariants": _parse_bool(data, "check_invariants", False),
+        "record_reads": _parse_bool(data, "record_reads", False),
         "collect_metrics": _parse_bool(data, "collect_metrics", False),
     }
 

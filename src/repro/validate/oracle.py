@@ -15,7 +15,8 @@ run — and asserts the facts that must be timing-independent:
 * **Committed dataflow** — the version each committed task consumed at
   its first read of each word equals the sequential producer, under
   every scheme: squashes may reorder attempts, but committed reads must
-  observe sequential semantics.
+  observe sequential semantics. The read map is opt-in, so the oracle's
+  jobs set ``record_reads``; a run without it fails this check.
 * **Violation facts** — a workload with no potential out-of-order RAW
   (no task reads a word that any earlier task writes, before writing it
   itself) must report *zero* violations under every scheme; when
@@ -142,7 +143,7 @@ def run_conformance(
         workload = spec.generate()
         jobs = [
             SimJob(machine=machine, workload=spec, scheme=scheme,
-                   check_invariants=check_invariants)
+                   check_invariants=check_invariants, record_reads=True)
             for scheme in schemes
         ]
         try:

@@ -8,8 +8,9 @@ The contracts under test, in roughly the order the ISSUE states them:
 * fleet-vs-serial byte-identity on the 16-cell machine x scheme grid,
   including with one worker killed mid-sweep (requeue + retry);
 * heartbeat-timeout eviction of a silently wedged worker;
-* digest-mismatch refusal: a forged worker envelope poisons the fleet,
-  which then refuses all further work;
+* digest refusal: an envelope whose bytes do not hash to its digest
+  poisons the fleet on arrival, as does a cross-check between two
+  workers that disagree; a poisoned fleet refuses all further work;
 * registration refusal of engine/protocol-version mismatches;
 * warm-key short circuits through a worker's shared cache; and
 * the ``dispatch`` block of ``/v1/cache/stats``.
@@ -273,26 +274,42 @@ def test_backoff_delays_are_capped_exponential():
 # Digest cross-check: divergent fleets are refused
 # ----------------------------------------------------------------------
 def test_forged_digest_poisons_the_fleet(fleet):
+    # One worker, unique keys only: no second worker ever recomputes a
+    # cell, so only the per-envelope check can catch the lie — and it
+    # must, on the very first envelope.
     jobs = _grid(machines=(NUMA_16,), n_schemes=4, seed=15)
-    # Sweep 1: a forging worker computes every cell; its bogus digests
-    # are recorded (nothing to cross-check against yet, so it passes).
     forger, forger_thread = _start_agent(fleet, forge_digest=True)
     _wait_workers(fleet, 1)
-    SweepRunner(cache=None, dispatcher=fleet).run_many(jobs)
+    with pytest.raises(FleetDivergenceError, match="do not hash"):
+        SweepRunner(cache=None, dispatcher=fleet).run_many(jobs)
+    assert fleet.stats.digest_mismatches == 1
+    assert fleet.stats.results_received == 0
+    assert fleet.coordinator.poisoned is not None
+    # The poison latches: further work is refused outright.
+    with pytest.raises(FleetDivergenceError):
+        SweepRunner(cache=None, dispatcher=fleet).run_many(
+            _grid(machines=(NUMA_16,), n_schemes=2, seed=16))
     forger.request_drain()
     forger_thread.join(timeout=10)
-    # Sweep 2: an honest worker recomputes the same cells; its (real)
-    # digests disagree with the registry — the fleet is refused.
+
+
+def test_divergent_workers_are_refused_by_the_cross_check(fleet):
+    jobs = _grid(machines=(NUMA_16,), n_schemes=4, seed=17)
+    # Sweep 1: a divergent worker's bytes match their own digests, so
+    # every envelope verifies and is recorded.
+    divergent, divergent_thread = _start_agent(fleet, diverge=True)
+    _wait_workers(fleet, 1)
+    SweepRunner(cache=None, dispatcher=fleet).run_many(jobs)
+    divergent.request_drain()
+    divergent_thread.join(timeout=10)
+    # Sweep 2: an honest worker recomputes the same cells; its digests
+    # disagree with the registry — the fleet is refused.
     honest, honest_thread = _start_agent(fleet)
     _wait_workers(fleet, 1)
     with pytest.raises(FleetDivergenceError, match="divergence"):
         SweepRunner(cache=None, dispatcher=fleet).run_many(jobs)
     assert fleet.stats.digest_mismatches >= 1
     assert fleet.coordinator.poisoned is not None
-    # The poison latches: further work is refused outright.
-    with pytest.raises(FleetDivergenceError):
-        SweepRunner(cache=None, dispatcher=fleet).run_many(
-            _grid(machines=(NUMA_16,), n_schemes=2, seed=16))
     honest.request_drain()
     honest_thread.join(timeout=10)
 

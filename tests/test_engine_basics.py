@@ -60,7 +60,8 @@ class TestForwarding:
             make_task(0, write(WORD_A), compute(50)),
             make_task(1, compute(20_000), read(WORD_A)),
         )
-        result = simulate(tiny_machine, MULTI_T_MV_EAGER, workload)
+        result = simulate(tiny_machine, MULTI_T_MV_EAGER, workload,
+                          record_reads=True)
         assert result.observed_reads[(1, WORD_A)] == 0
         assert result.violation_events == 0
 
@@ -71,7 +72,8 @@ class TestForwarding:
             make_task(0, compute(30_000), read(WORD_A)),
             make_task(1, write(WORD_A), compute(10)),
         )
-        result = simulate(tiny_machine, MULTI_T_MV_EAGER, workload)
+        result = simulate(tiny_machine, MULTI_T_MV_EAGER, workload,
+                          record_reads=True)
         assert result.observed_reads[(0, WORD_A)] == -1
         assert result.violation_events == 0
         assert result.memory_image[WORD_A] == 1

@@ -52,7 +52,7 @@ _MACHINES = [
 
 
 def check_invariants(machine, scheme, workload):
-    sim = Simulation(machine, scheme, workload)
+    sim = Simulation(machine, scheme, workload, record_reads=True)
     result = sim.run()
 
     # (1) Memory image equals sequential execution.

@@ -34,7 +34,7 @@ class TestViolationDetection:
     def test_squash_and_reexecution_restore_semantics(self, tiny_machine,
                                                       scheme):
         workload = violation_workload()
-        result = simulate(tiny_machine, scheme, workload)
+        result = simulate(tiny_machine, scheme, workload, record_reads=True)
         assert result.violation_events >= 1
         assert result.squashed_executions >= 1
         # The re-executed read must observe T0's version.
@@ -136,7 +136,8 @@ class TestSquashInteractions:
             make_task(2, read(W + 1), compute(20_000), write(W + 2)),
             make_task(3, read(W + 2), compute(100)),
         )
-        result = simulate(tiny_machine, MULTI_T_MV_EAGER, workload)
+        result = simulate(tiny_machine, MULTI_T_MV_EAGER, workload,
+                          record_reads=True)
         assert result.violation_events >= 1
         assert result.observed_reads[(1, W)] == 0
         assert result.observed_reads[(2, W + 1)] == 1

@@ -46,7 +46,7 @@ _VARIANTS = [
           suppress_health_check=[HealthCheck.too_slow])
 def test_extensions_preserve_sequential_semantics(name, machine, scheme,
                                                   kwargs, workload):
-    sim = Simulation(machine, scheme, workload, **kwargs)
+    sim = Simulation(machine, scheme, workload, record_reads=True, **kwargs)
     result = sim.run()
     assert result.memory_image == workload.sequential_image()
     expected = workload.sequential_reads()

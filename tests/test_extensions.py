@@ -171,7 +171,8 @@ class TestHighLevelPatterns:
             make_task(1, compute(200), read(x), compute(20_000)),
         )
         result = Simulation(tiny_machine, MULTI_T_MV_EAGER, workload,
-                            high_level_patterns=True).run()
+                            high_level_patterns=True,
+                            record_reads=True).run()
         assert result.violation_events >= 1
         assert result.observed_reads[(1, x)] == 0
 

@@ -151,8 +151,9 @@ def test_corrupt_backend_bytes_are_a_miss():
     backend.put("k", b"{not json")
     assert cache.load("k") is None
     assert cache.stats.misses == 1
-    # load_raw is the zero-copy path: it hands back whatever is stored.
-    assert cache.load_raw("k") == b"{not json"
+    # The bytes-and-payload read refuses them too: nothing serves them.
+    assert cache.load_entry("k") is None
+    assert cache.stats.misses == 2
 
 
 def test_runner_accepts_a_custom_backend_tier():
@@ -220,7 +221,7 @@ def test_result_is_bit_identical_through_every_tier(tmp_path):
 
     # Tier 3: a foreign backend holding the very same bytes.
     backend = DictBackend()
-    backend.put(key, ResultCache(tmp_path).load_raw(key))
+    backend.put(key, ResultCache(tmp_path).load_entry(key)[0])
     foreign = SweepRunner(jobs=1,
                           cache=ShardedResultCache(backend)).run(job)
     assert canonical_result_bytes(foreign) == expected
@@ -231,7 +232,8 @@ def test_raw_and_decoded_paths_see_the_same_payload(tmp_path):
     key = "ee" + "0" * 62
     payload = {"kind": "demo", "values": [1, 2, 3]}
     cache.store(key, payload)
-    assert json.loads(cache.load_raw(key)) == payload
+    raw, decoded = cache.load_entry(key)
+    assert json.loads(raw) == decoded == payload
     assert cache.load(key) == payload
 
 

@@ -16,7 +16,7 @@ import time
 import pytest
 
 from repro.analysis.serialization import canonical_result_bytes
-from repro.runner import SimJob, SweepRunner, WorkloadSpec
+from repro.runner import ResultCache, SimJob, SweepRunner, WorkloadSpec
 from repro.core.config import NUMA_16
 from repro.core.taxonomy import MULTI_T_MV_LAZY, SINGLE_T_EAGER
 from repro.service import (
@@ -326,20 +326,67 @@ def test_non_get_on_events_is_405(client):
     assert (error.status, error.code) == (405, "method_not_allowed")
 
 
-def test_digest_memo_is_a_bounded_lru(monkeypatch):
-    from repro.service import app as app_module
+def test_warm_get_does_no_hashing_or_decode(tmp_path, monkeypatch):
+    import hashlib
+    import json
 
-    monkeypatch.setattr(app_module, "MAX_DIGEST_MEMO_ENTRIES", 8)
-    service = SimulationService(use_disk=False)
+    job = job_from_request(_job_request(seed=7))
+    key = job.cache_key()
+    SweepRunner(jobs=1, cache=ResultCache(tmp_path)).run(job)
+    service = SimulationService(cache_dir=str(tmp_path), use_disk=True)
     try:
-        raw = b'{"kind":"sequential","app":"X","total_cycles":1}'
-        digests = {service.digest_for(f"{i:064x}", raw)
-                   for i in range(32)}
-        assert len(service._digests) <= 8
-        # Evicted keys simply re-digest to the same value.
-        assert digests == {service.digest_for("0" * 64, raw)}
+        source, raw = service.lookup_raw(key)  # disk hit: parse + hash
+        assert source == "disk"
+        first = service.envelope_bytes(key, source, raw)
+
+        def _forbidden(*_args, **_kwargs):
+            raise AssertionError("a warm GET hashed or decoded")
+
+        monkeypatch.setattr(hashlib, "sha256", _forbidden)
+        monkeypatch.setattr(json, "loads", _forbidden)
+        source, raw = service.lookup_raw(key)
+        assert source == "memory"
+        warm = service.envelope_bytes(key, source, raw)
     finally:
         service.close()
+    monkeypatch.undo()
+    assert json.loads(warm)["digest"] == json.loads(first)["digest"] \
+        == hashlib.sha256(raw).hexdigest()
+
+
+def test_torn_cache_file_is_a_miss_not_a_500(tmp_path):
+    request = _job_request(seed=31)
+    key = job_from_request(request).cache_key()
+
+    def _serve():
+        service = SimulationService(cache_dir=str(tmp_path), jobs=1)
+        return ServiceThread(service).start()
+
+    thread = _serve()
+    client = ServiceClient(thread.base_url)
+    try:
+        first = client.submit_job(request)
+    finally:
+        client.close()
+        thread.stop()
+    path = ResultCache(tmp_path).path_for(key)
+    intact = path.read_bytes()
+    path.write_bytes(intact[:len(intact) // 2])
+
+    thread = _serve()  # cold memory tier: the torn file is all there is
+    client = ServiceClient(thread.base_url)
+    try:
+        error = _refused(client.get_job, key)
+        assert (error.status, error.code) == (404, "unknown_key")
+        assert client.cache_stats()["shared"]["misses"] == 1
+        again = client.submit_job(request)
+        assert again["source"] == "computed"
+        assert again["digest"] == first["digest"]
+        assert client.get_job(key)["source"] == "memory"
+    finally:
+        client.close()
+        thread.stop()
+    assert path.read_bytes() == intact
 
 
 def test_finished_sweeps_are_pruned_but_running_ones_kept(monkeypatch):
@@ -377,6 +424,8 @@ def test_job_request_defaults():
     assert job.scheme is None
     job = job_from_request({"app": APP, "scheme": "MultiT&MV Lazy AMM"})
     assert job.scheme is MULTI_T_MV_LAZY
+    assert job.record_reads is False
+    assert job_from_request({"app": APP, "record_reads": True}).record_reads
 
 
 def test_sweep_request_grid_shape_and_bounds():
