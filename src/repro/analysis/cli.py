@@ -316,23 +316,12 @@ def _run_cache(args: argparse.Namespace) -> int:
     import json as _json
 
     from repro.runner import ResultCache
-    from repro.runner.cache import migrate_flat_layout
 
     cache = (ResultCache(args.cache_dir) if args.cache_dir
              else ResultCache())
-    if args.cache_command == "migrate":
-        counts = migrate_flat_layout(cache.root)
-        print(f"migrated {counts['migrated']} flat entries into shards "
-              f"({counts['skipped_existing']} already sharded, "
-              f"{counts['ignored']} non-entry files left alone)")
-        return 0
-    # stats (the default)
     print(_json.dumps({
         "backend": cache.describe(),
         "entries": len(cache),
-        "flat_entries": sum(
-            1 for _ in cache.root.glob("*.json")) if cache.root.is_dir()
-        else 0,
     }, indent=2))
     return 0
 
@@ -677,7 +666,6 @@ examples:
   repro-tls sweep --server http://127.0.0.1:8321 --apps Euler
   repro-tls sweep --dispatch fleet --workers 2 --apps Euler
   repro-tls worker --connect 127.0.0.1:8422  # join a remote fleet
-  repro-tls cache migrate              # flat layout -> sharded layout
 """
 
 
@@ -1065,25 +1053,20 @@ examples:
     p_worker.set_defaults(func=_run_worker)
 
     p_cache = sub.add_parser(
-        "cache", help="result-cache maintenance: stats and migrate",
+        "cache", help="result-cache maintenance: stats",
         formatter_class=argparse.RawDescriptionHelpFormatter,
         epilog="""\
 examples:
   repro-tls cache stats                      # entry counts + backend
-  repro-tls cache migrate                    # flat layout -> <key[:2]>/ shards
-  repro-tls cache migrate --cache-dir /var/tmp/tls
+  repro-tls cache stats --cache-dir /var/tmp/tls
 """)
-    csub = p_cache.add_subparsers(dest="cache_command", metavar="subcommand")
+    csub = p_cache.add_subparsers(metavar="subcommand")
     c_stats = csub.add_parser(
         "stats", help="entry counts and backend description")
-    c_migrate = csub.add_parser(
-        "migrate", help="move a pre-shard flat cache layout into the "
-                        "sharded layout (one-shot, atomic per entry)")
-    for c_parser in (c_stats, c_migrate):
-        c_parser.add_argument("--cache-dir", default=None, metavar="DIR",
-                              help="cache root (default: the standard "
-                                   "cache directory)")
-        c_parser.set_defaults(func=_run_cache)
+    c_stats.add_argument("--cache-dir", default=None, metavar="DIR",
+                         help="cache root (default: the standard cache "
+                              "directory)")
+    c_stats.set_defaults(func=_run_cache)
     p_cache.set_defaults(func=lambda _a: (p_cache.print_help(), 2)[1])
 
     return parser

@@ -1046,11 +1046,6 @@ class Simulation:
     # ==================================================================
     # MultiT&SV version-conflict stalls
     # ==================================================================
-    def _sv_conflict(self, proc: Processor, run: TaskRun, word: int) -> bool:
-        if self.scheme.task_policy is not TaskPolicy.MULTI_T_SV:
-            return False
-        return self._sv_blocker(proc, run, word) is not None
-
     def _sv_blocker(self, proc: Processor, run: TaskRun,
                     word: int) -> int | None:
         """Earliest local task holding a *dirty* speculative version of the

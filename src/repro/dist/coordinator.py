@@ -14,10 +14,10 @@ point, not an afterthought:
   carry a per-assignment timeout, so a wedged (but chatty) worker
   cannot pin a cell forever.
 * **Identical keys compute once fleet-wide.** The coordinator keys all
-  bookkeeping by the job's content address: if two concurrent sweeps
-  (or a requeue race) want the same cell, one computation feeds every
-  waiter, and late duplicate results are discarded — after the digest
-  cross-check below.
+  bookkeeping by the job's content address: if two concurrent sweeps,
+  a retry after an ``execute`` timeout, or a requeue race want the same
+  cell, one computation feeds every waiter, and late duplicate results
+  are discarded — after the digest cross-check below.
 * **Lying and silently-divergent fleets are refused.** Every result
   envelope carries the SHA-256 of its payload bytes, and the worker's
   fingerprint (python version, platform, ``ENGINE_VERSION``) is known
@@ -45,7 +45,7 @@ import threading
 import time
 import zlib
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Callable, Sequence
 
 from repro.dist.protocol import (
@@ -113,7 +113,8 @@ class FleetStats:
     chunks_failed: int = 0
     #: Result envelopes accepted and delivered to waiters.
     results_received: int = 0
-    #: Late results for keys that were already delivered (requeue races).
+    #: Late results no call waits on any more (requeue races, or calls
+    #: that timed out).
     duplicate_results: int = 0
     #: Results a worker served from its local cache tier instead of
     #: computing (the warm-key short circuit).
@@ -124,22 +125,6 @@ class FleetStats:
     #: Envelopes whose bytes did not hash to their digest, plus digest
     #: cross-check failures (each one poisons the coordinator).
     digest_mismatches: int = 0
-
-    def to_dict(self) -> dict[str, int]:
-        """JSON-ready counter snapshot (for ``/v1/cache/stats``)."""
-        return {
-            "workers_registered": self.workers_registered,
-            "workers_refused": self.workers_refused,
-            "workers_lost": self.workers_lost,
-            "chunks_dispatched": self.chunks_dispatched,
-            "chunks_requeued": self.chunks_requeued,
-            "chunks_failed": self.chunks_failed,
-            "results_received": self.results_received,
-            "duplicate_results": self.duplicate_results,
-            "cache_short_circuits": self.cache_short_circuits,
-            "keys_joined": self.keys_joined,
-            "digest_mismatches": self.digest_mismatches,
-        }
 
 
 class _Chunk:
@@ -250,7 +235,8 @@ class FleetCoordinator:
         self._inflight: dict[str, _Chunk] = {}
         #: key -> calls waiting on it (possibly from several sweeps).
         self._waiters: dict[str, list[_ComputeCall]] = {}
-        #: Every call with undelivered keys (for poison/stop fan-out).
+        #: Every call whose ``execute`` is still running (for poison/stop
+        #: fan-out); ``_forget`` drops it when ``execute`` ends.
         self._calls: set[_ComputeCall] = set()
         #: key -> (digest, worker name): the cross-check registry.
         self._digests: OrderedDict[str, tuple[str, str]] = OrderedDict()
@@ -366,19 +352,26 @@ class FleetCoordinator:
         call = _ComputeCall([key for key, _job in pending])
         self._loop.call_soon_threadsafe(self._submit, list(pending), call)
         remaining = set(call.keys)
-        while remaining:
+        try:
+            while remaining:
+                try:
+                    kind, key, payload = call.queue.get(
+                        timeout=self.result_timeout)
+                except queue.Empty:
+                    raise FleetError(
+                        f"no fleet result within "
+                        f"{self.result_timeout:.0f}s "
+                        f"({len(remaining)} keys outstanding)")
+                if kind == "fail":
+                    raise payload
+                if key in remaining:
+                    remaining.discard(key)
+                    deliver(key, payload)
+        finally:
             try:
-                kind, key, payload = call.queue.get(
-                    timeout=self.result_timeout)
-            except queue.Empty:
-                raise FleetError(
-                    f"no fleet result within {self.result_timeout:.0f}s "
-                    f"({len(remaining)} keys outstanding)")
-            if kind == "fail":
-                raise payload
-            if key in remaining:
-                remaining.discard(key)
-                deliver(key, payload)
+                self._loop.call_soon_threadsafe(self._forget, call)
+            except RuntimeError:
+                pass  # loop already closed: nothing left to forget
 
     # ------------------------------------------------------------------
     # Loop-thread scheduling
@@ -392,12 +385,18 @@ class FleetCoordinator:
         self._calls.add(call)
         fresh: list[tuple[str, Any]] = []
         for key, job in pending:
-            if key in self._inflight:
-                self.stats.keys_joined += 1
-                self._waiters[key].append(call)
-                continue
             self._waiters.setdefault(key, []).append(call)
-            fresh.append((key, job))
+            if key in self._inflight:
+                # Join the chunk already computing this key. The runner's
+                # SingleFlight cannot stand in for this: after an
+                # ``execute`` timeout the runner abandons its flights
+                # while the chunk keeps running on the fleet, so a retry
+                # claims fresh flights and arrives here with the key
+                # still in flight (as does a second runner sharing this
+                # coordinator). Joining computes it once.
+                self.stats.keys_joined += 1
+            else:
+                fresh.append((key, job))
         for start in range(0, len(fresh), self.chunk_size):
             self._chunk_seq += 1
             chunk = _Chunk(self._chunk_seq,
@@ -440,6 +439,21 @@ class FleetCoordinator:
         assert self._loop is not None and self._queue is not None
         self._loop.call_later(self._backoff_delay(chunk.attempts),
                               self._queue.put_nowait, chunk)
+
+    def _forget(self, call: _ComputeCall) -> None:
+        """Drop a finished or abandoned call from the bookkeeping.
+
+        Runs on the loop once ``execute`` returns or raises. The call's
+        keys stay in flight — their chunks keep computing, and a retry
+        joins them — but their results are no longer queued to it.
+        """
+        self._calls.discard(call)
+        for key in call.keys:
+            waiters = self._waiters.get(key)
+            if waiters is not None and call in waiters:
+                waiters.remove(call)
+                if not waiters:
+                    del self._waiters[key]
 
     def _fail_keys(self, keys: Sequence[str],
                    error: BaseException) -> None:
@@ -760,7 +774,7 @@ class FleetCoordinator:
     def stats_dict(self) -> dict[str, Any]:
         """Counters + live gauges (for ``/v1/cache/stats``)."""
         return {
-            **self.stats.to_dict(),
+            **asdict(self.stats),
             "workers_connected": self.worker_count,
             "poisoned": self._poisoned,
         }

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import zlib
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Callable, Protocol, Sequence, runtime_checkable
 
 #: ``(key, job)`` pairs the runner asks a dispatcher to compute.
@@ -42,9 +42,7 @@ class Dispatcher(Protocol):
     Implementations must call ``on_result`` at most once per distinct
     key, from the calling thread, with the *uncompressed* canonical
     payload bytes — the same bytes
-    :func:`repro.runner.runner.payload_from_result` +
-    :func:`~repro.analysis.serialization.canonical_json` produce
-    in-process.
+    :func:`repro.runner.runner.compute_payload` produces in-process.
     """
 
     def compute(self, pending: PendingJobs,
@@ -54,6 +52,10 @@ class Dispatcher(Protocol):
 
     def describe(self) -> str:
         """Human-readable backend description (for stats endpoints)."""
+        ...
+
+    def stats_dict(self) -> dict[str, Any]:
+        """JSON-ready counters (the ``dispatch`` block of stats bodies)."""
         ...
 
 
@@ -71,12 +73,6 @@ class LocalPoolStats:
     serial_batches: int = 0
     #: Pool startups that failed and degraded to the serial path.
     pool_failures: int = 0
-
-    def to_dict(self) -> dict[str, int]:
-        """JSON-ready counter snapshot (for ``/v1/cache/stats``)."""
-        return {"pool_batches": self.pool_batches, "chunks": self.chunks,
-                "jobs": self.jobs, "serial_batches": self.serial_batches,
-                "pool_failures": self.pool_failures}
 
 
 class LocalPoolDispatcher:
@@ -108,6 +104,10 @@ class LocalPoolDispatcher:
         """``local-pool:<workers>x<chunk_size>``."""
         return f"local-pool:{self.jobs}x{self.chunk_size}"
 
+    def stats_dict(self) -> dict[str, Any]:
+        """The pool counters (surfaced in ``/v1/cache/stats``)."""
+        return asdict(self.stats)
+
     def compute(self, pending: PendingJobs,
                 on_result: ResultSink) -> None:
         """Execute the batch: chunked pool when it pays, else serial.
@@ -116,12 +116,7 @@ class LocalPoolDispatcher:
         part-way through collection and the serial fallback re-runs the
         batch, already delivered keys are skipped.
         """
-        from repro.runner.runner import (
-            _encode_payload,
-            _worker_chunk,
-            execute_job,
-            payload_from_result,
-        )
+        from repro.runner.runner import _worker_chunk, compute_payload
 
         delivered: set[str] = set()
 
@@ -154,6 +149,4 @@ class LocalPoolDispatcher:
         for key, job in pending:
             if key in delivered:
                 continue
-            _deliver(
-                key, _encode_payload(payload_from_result(execute_job(job)))
-            )
+            _deliver(key, compute_payload(job))

@@ -5,8 +5,8 @@ deliberately a page of blocking socket code. It connects to a
 coordinator, registers with its :func:`~repro.dist.protocol.\
 worker_fingerprint` (refused outright on an engine-version mismatch),
 then loops: ``pull`` a chunk, execute each job through *exactly* the
-pipeline the in-process pool path uses (``execute_job`` →
-``payload_from_result`` → canonical JSON bytes), and push one ``result``
+pipeline the in-process pool path uses
+(:func:`~repro.runner.runner.compute_payload`), and push one ``result``
 frame of per-job envelopes. Bit-identity across hosts is therefore by
 construction. Each envelope carries the SHA-256 of its payload bytes,
 which the coordinator checks on arrival and cross-checks between
@@ -193,10 +193,8 @@ class WorkerAgent:
         leave identical cache artifacts.
         """
         from repro.runner.runner import (
-            _encode_payload,
             canonical_payload_digest,
-            execute_job,
-            payload_from_result,
+            compute_payload,
         )
 
         envelopes: list[tuple[str, str, str, bytes]] = []
@@ -210,10 +208,12 @@ class WorkerAgent:
                 self.cache_hits += 1
             else:
                 source = "computed"
-                payload = payload_from_result(execute_job(job))
+                raw = compute_payload(job)
                 if self.diverge:
-                    payload["total_cycles"] += 1.0
-                raw = _encode_payload(payload)
+                    # A different, still decodable result: 1 prefixed
+                    # to the first (non-negative) cycle count.
+                    raw = raw.replace(b'"total_cycles":',
+                                      b'"total_cycles":1', 1)
                 if self.cache is not None:
                     self.cache.store_raw(key, raw)
             digest = ("0" * 64 if self.forge_digest

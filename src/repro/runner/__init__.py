@@ -18,7 +18,6 @@ from repro.runner.cache import (
     ResultCache,
     ShardedResultCache,
     default_cache_root,
-    migrate_flat_layout,
     shard_of,
 )
 from repro.runner.jobs import SimJob, WorkloadSpec
@@ -27,6 +26,7 @@ from repro.runner.runner import (
     PROGRESS_SOURCES,
     SweepRunner,
     canonical_payload_digest,
+    compute_payload,
     default_jobs,
     execute_job,
     payload_from_result,
@@ -52,9 +52,9 @@ __all__ = [
     "SweepRunner",
     "WorkloadSpec",
     "canonical_payload_digest",
+    "compute_payload",
     "default_cache_root",
     "default_jobs",
-    "migrate_flat_layout",
     "execute_job",
     "payload_from_result",
     "result_from_payload",

@@ -18,10 +18,11 @@ The stack is layered:
   (:func:`~repro.runner.runner.result_from_payload`) mutates its input;
   handing every replay a fresh ``json.loads`` of the stored bytes keeps
   hits side-effect-free and bit-identical.
-* :class:`ShardedResultCache` — the shared tier: payload-level
-  load/store semantics over a pluggable :class:`CacheBackend` byte
-  store. The default :class:`DirectoryBackend` shards entries into
-  2-hex-prefix subdirectories (256 shards) with atomic writes, so
+* :class:`ShardedResultCache` — the shared tier: one bytes-and-payload
+  read (``load_entry``) and one bytes write (``store_raw``) over a
+  pluggable :class:`CacheBackend` byte store. The default
+  :class:`DirectoryBackend` shards entries into 2-hex-prefix
+  subdirectories (256 shards) with atomic writes, so
   concurrent sweep workers, multiple service frontends, and unrelated
   processes can all share one cache directory (local or NFS) safely; a
   corrupt or truncated entry is treated as a miss and overwritten.
@@ -83,11 +84,6 @@ class CacheStats:
     misses: int = 0
     stores: int = 0
     evictions: int = 0
-
-    def to_dict(self) -> dict[str, int]:
-        """JSON-ready counter snapshot (for ``/v1/cache/stats``)."""
-        return {"hits": self.hits, "misses": self.misses,
-                "stores": self.stores, "evictions": self.evictions}
 
 
 def canonical_payload_digest(raw: bytes) -> str:
@@ -291,14 +287,11 @@ class DirectoryBackend:
 class ShardedResultCache:
     """The shared result tier: payload semantics over a byte backend.
 
-    Reads return the stored bytes with their decoded payload
-    (:meth:`load_entry` — the path the sweep runner, the service and
-    fleet workers use) or the payload alone (:meth:`load`); writes take
-    a payload (:meth:`store`) or already-serialized bytes
-    (:meth:`store_raw`). A corrupt entry (unreadable bytes or invalid
-    JSON) is a miss, so it is never served or promoted; the next store
-    overwrites it. All hit/miss/store accounting lives here,
-    backend-independent.
+    One read and one write: :meth:`load_entry` returns the stored bytes
+    with their decoded payload, and :meth:`store_raw` persists canonical
+    bytes. A corrupt entry (unreadable bytes or invalid JSON) is a miss,
+    so it is never served or promoted; the next store overwrites it. All
+    hit/miss/store accounting lives here, backend-independent.
     """
 
     def __init__(self, backend: CacheBackend) -> None:
@@ -324,22 +317,11 @@ class ShardedResultCache:
         self.stats.misses += 1
         return None
 
-    def load(self, key: str) -> dict[str, Any] | None:
-        """The decoded payload for ``key``; invalid JSON is a miss."""
-        entry = self.load_entry(key)
-        return entry[1] if entry is not None else None
-
-    def store(self, key: str, payload: dict[str, Any]) -> None:
-        """Atomically persist ``payload`` under ``key`` (canonical bytes)."""
-        from repro.analysis.serialization import canonical_json
-
-        self.store_raw(key, canonical_json(payload))
-
     def store_raw(self, key: str, raw: bytes) -> None:
-        """Atomically persist already-serialized JSON ``raw`` under ``key``.
+        """Atomically persist canonical payload bytes ``raw`` under ``key``.
 
-        Zero-copy path for the sweep runner, whose workers ship payloads
-        as serialized bytes: the bytes land in the backend without a
+        Every producer already holds the bytes (workers ship payloads
+        serialized), so they land in the backend as they are, with no
         decode / re-encode round trip.
         """
         self.backend.put(key, raw)
@@ -370,41 +352,6 @@ class ShardedResultCache:
         if describe is not None:
             return str(describe())
         return type(self.backend).__name__
-
-
-def migrate_flat_layout(root: str | Path) -> dict[str, int]:
-    """One-shot migration of a pre-shard flat cache into shard layout.
-
-    Releases before the sharded tier stored entries as
-    ``<root>/<key>.json`` directly; the sharded layout looks for
-    ``<root>/<key[:2]>/<key>.json``, so a flat directory silently
-    re-misses every warm entry. This moves each top-level
-    ``<hex key>.json`` into its shard (atomic ``os.replace`` within one
-    filesystem). An entry that already exists in the shard layout wins:
-    the stale flat duplicate is deleted, not copied over it. Non-entry
-    files (wrong name shape) are left untouched and counted.
-
-    Returns counters: ``migrated``, ``skipped_existing``, ``ignored``.
-    Exposed as ``repro-tls cache migrate``.
-    """
-    root = Path(root)
-    counts = {"migrated": 0, "skipped_existing": 0, "ignored": 0}
-    if not root.is_dir():
-        return counts
-    for path in sorted(root.glob("*.json")):
-        key = path.stem
-        if _SAFE_KEY_RE.fullmatch(key) is None or not path.is_file():
-            counts["ignored"] += 1
-            continue
-        dest = root / shard_of(key) / f"{key}.json"
-        if dest.exists():
-            path.unlink()
-            counts["skipped_existing"] += 1
-            continue
-        dest.parent.mkdir(parents=True, exist_ok=True)
-        os.replace(path, dest)
-        counts["migrated"] += 1
-    return counts
 
 
 class ResultCache(ShardedResultCache):

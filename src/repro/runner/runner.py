@@ -150,11 +150,16 @@ def result_from_payload(
     return result
 
 
-def _encode_payload(payload: dict[str, Any]) -> bytes:
-    """Serialize a payload to the canonical bytes every tier stores."""
+def compute_payload(job: SimJob) -> bytes:
+    """Run ``job`` and return its canonical payload bytes.
+
+    The one job -> bytes path every backend computes through (serial,
+    pool worker, fleet worker), so a payload is bit-identical wherever
+    it was computed.
+    """
     from repro.analysis.serialization import canonical_json
 
-    return canonical_json(payload)
+    return canonical_json(payload_from_result(execute_job(job)))
 
 
 def _worker_chunk(jobs: Sequence[SimJob]) -> list[tuple[str, bytes]]:
@@ -165,15 +170,8 @@ def _worker_chunk(jobs: Sequence[SimJob]) -> list[tuple[str, bytes]]:
     result-object graph, and the chunking amortizes task dispatch
     overhead across several simulations.
     """
-    return [
-        (
-            job.cache_key(),
-            zlib.compress(
-                _encode_payload(payload_from_result(execute_job(job))), 1
-            ),
-        )
-        for job in jobs
-    ]
+    return [(job.cache_key(), zlib.compress(compute_payload(job), 1))
+            for job in jobs]
 
 
 def default_jobs() -> int:
@@ -229,6 +227,29 @@ class SweepRunner:
         """Execute (or replay) one job."""
         return self.run_many([job])[0]
 
+    def lookup(
+        self, key: str,
+    ) -> tuple[str, bytes, dict[str, Any] | None] | None:
+        """Tiered read-only lookup: ``(source, raw, payload)`` or a miss.
+
+        Memory tier first: a hit returns the resident bytes with no
+        decode and no hash (``payload`` is ``None``). On a miss the
+        shared tier is read, and a disk hit is promoted into the memory
+        tier with its bytes unchanged; ``payload`` is then the dict the
+        shared tier already decoded, so the caller never decodes twice.
+        A torn entry is a miss. Never computes.
+        """
+        raw = self.memory_cache.load(key)
+        if raw is not None:
+            return "memory", raw, None
+        if self.cache is not None:
+            entry = self.cache.load_entry(key)
+            if entry is not None:
+                raw, payload = entry
+                self.memory_cache.store(key, raw)
+                return "disk", raw, payload
+        return None
+
     def run_many(
         self, jobs: Sequence[SimJob],
         progress: ProgressCallback | None = None,
@@ -238,11 +259,11 @@ class SweepRunner:
         Duplicate jobs (same cache key) are computed once — including
         across *concurrent* ``run_many`` calls on this runner, which
         join in-flight computations (:class:`~repro.runner.singleflight.\
-SingleFlight`) instead of repeating them. Lookup order per distinct job:
-        memory tier, then the shared (disk) tier — promoting hits into
-        the memory tier — then live computation. Misses run in a chunked
-        process pool when the batch is larger than one chunk and
-        ``jobs > 1``, else serially in this process. Every freshly
+SingleFlight`) instead of repeating them. Each distinct job resolves
+        through :meth:`lookup` (memory tier, then the shared tier), then
+        live computation. Misses run in a chunked process pool when the
+        batch is larger than one chunk and ``jobs > 1``, else serially
+        in this process. Every freshly
         computed result is stored back through both tiers as soon as it
         lands (not after the whole batch), so concurrent readers and
         progress streams see cells the moment they finish.
@@ -273,20 +294,12 @@ SingleFlight`) instead of repeating them. Lookup order per distinct job:
                 by_key[key] = execute_job(job)
                 _notify(key, "live")
                 continue
-            raw = self.memory_cache.load(key)
-            if raw is not None:
-                by_key[key] = result_from_payload(json.loads(raw))
-                _notify(key, "memory")
-                continue
-            entry = (self.cache.load_entry(key) if self.cache is not None
-                     else None)
-            if entry is not None:
-                # The stored bytes are already canonical: decode once to
-                # rebuild the result, promote the bytes as they are.
-                raw, payload = entry
-                by_key[key] = result_from_payload(payload)
-                self.memory_cache.store(key, raw)
-                _notify(key, "disk")
+            hit = self.lookup(key)
+            if hit is not None:
+                source, raw, payload = hit
+                by_key[key] = result_from_payload(
+                    payload if payload is not None else json.loads(raw))
+                _notify(key, source)
                 continue
             flight, leader = self.flights.claim(key)
             if leader:

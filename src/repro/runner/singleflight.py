@@ -52,11 +52,6 @@ class SingleFlightStats:
     #: Joiner waits that gave up on their timeout.
     timeouts: int = 0
 
-    def to_dict(self) -> dict[str, int]:
-        """JSON-ready counter snapshot (for ``/v1/cache/stats``)."""
-        return {"led": self.led, "joined": self.joined,
-                "failed": self.failed, "timeouts": self.timeouts}
-
 
 class SingleFlight:
     """Registry of in-flight computations keyed by content address."""

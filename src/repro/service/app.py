@@ -25,12 +25,12 @@ from __future__ import annotations
 import asyncio
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Sequence
 
 from repro.runner.cache import MemoryResultCache, ResultCache
 from repro.runner.jobs import SimJob
-from repro.runner.runner import SweepRunner, result_from_payload
+from repro.runner.runner import SweepRunner
 
 #: Default bound (seconds) a request waits on a computation another
 #: request leads before failing with a timeout instead of hanging.
@@ -149,23 +149,14 @@ class SimulationService:
     def lookup_raw(self, key: str) -> tuple[str, bytes] | None:
         """Tiered read-only lookup: ``(source, payload bytes)`` or miss.
 
-        Memory tier first (sub-millisecond: one dict probe, no decode,
-        no hash); a disk hit is promoted into the memory tier, exactly
-        as the runner promotes, once its bytes are known to parse — a
-        torn entry is a miss, so a GET answers 404 and a POST
-        recomputes (and overwrites it). Never computes.
+        The runner's :meth:`~repro.runner.runner.SweepRunner.lookup`:
+        a memory hit costs one dict probe (no decode, no hash); a disk
+        hit is promoted into the memory tier; a torn entry is a miss, so
+        a GET answers 404 and a POST recomputes (and overwrites it).
+        Never computes.
         """
-        raw = self.runner.memory_cache.load(key)
-        if raw is not None:
-            return "memory", raw
-        cache = self.runner.cache
-        if cache is not None:
-            entry = cache.load_entry(key)
-            if entry is not None:
-                raw = entry[0]
-                self.runner.memory_cache.store(key, raw)
-                return "disk", raw
-        return None
+        hit = self.runner.lookup(key)
+        return hit[:2] if hit is not None else None
 
     def digest_for(self, key: str, raw: bytes) -> str:
         """The digest of ``key``'s payload bytes ``raw``.
@@ -352,11 +343,11 @@ class SimulationService:
         body: dict[str, Any] = {
             "engine_version": ENGINE_VERSION,
             "memory": {
-                **memory.stats.to_dict(),
+                **asdict(memory.stats),
                 "entries": len(memory),
                 "max_entries": memory.max_entries,
             },
-            "singleflight": runner.flights.stats.to_dict(),
+            "singleflight": asdict(runner.flights.stats),
             "dispatch": self._dispatch_stats(runner),
             "service": dict(self.counters),
             "sweeps": {
@@ -367,7 +358,7 @@ class SimulationService:
         }
         if runner.cache is not None:
             body["shared"] = {
-                **runner.cache.stats.to_dict(),
+                **asdict(runner.cache.stats),
                 "backend": runner.cache.describe(),
                 "entries": len(runner.cache),
             }
@@ -376,7 +367,7 @@ class SimulationService:
         return body
 
     @staticmethod
-    def _dispatch_stats(runner: SweepRunner) -> dict[str, Any] | None:
+    def _dispatch_stats(runner: SweepRunner) -> dict[str, Any]:
         """The ``dispatch`` block of the stats body.
 
         Describes whichever :class:`~repro.dist.dispatch.Dispatcher`
@@ -384,15 +375,5 @@ class SimulationService:
         path, worker/chunk/divergence counters for a fleet — so service
         benchmarks are comparable across backends.
         """
-        dispatcher = getattr(runner, "dispatcher", None)
-        if dispatcher is None:
-            return None
-        body: dict[str, Any] = {"backend": dispatcher.describe()}
-        stats_dict = getattr(dispatcher, "stats_dict", None)
-        if stats_dict is not None:
-            body.update(stats_dict())
-        else:
-            stats = getattr(dispatcher, "stats", None)
-            if stats is not None:
-                body.update(stats.to_dict())
-        return body
+        dispatcher = runner.dispatcher
+        return {"backend": dispatcher.describe(), **dispatcher.stats_dict()}

@@ -22,11 +22,7 @@ from typing import Any, Iterator
 from urllib.parse import urlsplit
 
 from repro.errors import ReproError
-from repro.runner.runner import (
-    _encode_payload,
-    canonical_payload_digest,
-    result_from_payload,
-)
+from repro.runner.runner import canonical_payload_digest, result_from_payload
 
 
 class ServiceClientError(ReproError):
@@ -194,8 +190,10 @@ class ServiceClient:
             raise ServiceClientError(0, "bad_envelope",
                                      "envelope carries no result payload")
         if verify:
+            from repro.analysis.serialization import canonical_json
+
             expected = envelope.get("digest")
-            actual = canonical_payload_digest(_encode_payload(payload))
+            actual = canonical_payload_digest(canonical_json(payload))
             if expected != actual:
                 raise ServiceClientError(
                     0, "digest_mismatch",

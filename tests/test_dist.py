@@ -43,6 +43,7 @@ from repro.dist import (
     parse_address,
     worker_fingerprint,
 )
+from repro.dist import coordinator as coordinator_module
 from repro.dist.protocol import (
     decode_header,
     decode_preamble,
@@ -414,21 +415,105 @@ def test_fleet_wide_single_compute_joins_inflight_keys(fleet):
 
 
 # ----------------------------------------------------------------------
+# Call bookkeeping: finished and timed-out calls are forgotten
+# ----------------------------------------------------------------------
+def _wait_for(condition, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.01)
+
+
+def _time_out_with_no_worker(fleet, jobs):
+    """A sweep that times out before any worker connects.
+
+    Its chunk stays queued (in flight) after ``execute`` gives up.
+    """
+    fleet.min_workers = 0
+    fleet.coordinator.result_timeout = 0.2
+    with pytest.raises(FleetError, match="no fleet result"):
+        SweepRunner(cache=None, dispatcher=fleet).run_many(jobs)
+    fleet.coordinator.result_timeout = 60
+
+
+def test_finished_calls_are_forgotten(fleet):
+    agent, thread = _start_agent(fleet)
+    _wait_workers(fleet, 1)
+    coordinator = fleet.coordinator
+    for seed in range(5):
+        SweepRunner(cache=None, dispatcher=fleet).run_many(
+            _grid(machines=(NUMA_16,), n_schemes=1, seed=seed))
+    _wait_for(lambda: not coordinator._calls)
+    assert coordinator._waiters == {}
+    assert coordinator._inflight == {}
+    agent.request_drain()
+    thread.join(timeout=10)
+
+
+def test_timed_out_call_gets_no_late_results(fleet, monkeypatch):
+    calls = []
+
+    class _Recorded(coordinator_module._ComputeCall):
+        __slots__ = ()
+
+        def __init__(self, keys):
+            super().__init__(keys)
+            calls.append(self)
+
+    monkeypatch.setattr(coordinator_module, "_ComputeCall", _Recorded)
+    jobs = _grid(machines=(NUMA_16,), n_schemes=2, seed=22)
+    _time_out_with_no_worker(fleet, jobs)
+    coordinator = fleet.coordinator
+    _wait_for(lambda: not coordinator._calls)
+    assert coordinator._waiters == {}
+    assert len(coordinator._inflight) == len(jobs)  # the chunk still runs
+    agent, thread = _start_agent(fleet)
+    _wait_for(lambda: not coordinator._inflight)
+    [abandoned] = calls
+    assert abandoned.queue.empty()
+    assert fleet.stats.duplicate_results == len(jobs)
+    assert fleet.stats.results_received == 0
+    agent.request_drain()
+    thread.join(timeout=10)
+
+
+def test_retry_after_timeout_joins_the_inflight_chunk(fleet):
+    """The coordinator's own join is not redundant with SingleFlight.
+
+    The timed-out call's runner abandoned its flights, so the retry
+    leads fresh ones; only the coordinator knows the chunk still runs.
+    """
+    jobs = _grid(machines=(NUMA_16,), n_schemes=4, seed=23)
+    _time_out_with_no_worker(fleet, jobs)
+    outcomes = []
+    retry = threading.Thread(target=lambda: outcomes.append(
+        SweepRunner(cache=None, dispatcher=fleet).run_many(jobs)))
+    retry.start()
+    _wait_for(lambda: fleet.stats.keys_joined == len(jobs))
+    agent, thread = _start_agent(fleet)
+    retry.join(timeout=120)
+    assert not retry.is_alive()
+    assert ([canonical_result_bytes(r) for r in outcomes[0]]
+            == _serial_bytes(jobs))
+    assert fleet.stats.keys_joined == len(jobs)
+    assert agent.jobs_done == len(jobs)
+    assert fleet.stats.chunks_dispatched == 1
+    agent.request_drain()
+    thread.join(timeout=10)
+
+
+# ----------------------------------------------------------------------
 # Worker-side digest helper
 # ----------------------------------------------------------------------
 def test_canonical_payload_digest_matches_serialization():
     import hashlib
-    import json as _json
 
-    from repro.runner.runner import (
-        _encode_payload,
-        execute_job,
-        payload_from_result,
-    )
+    from repro.analysis.serialization import canonical_json
+    from repro.runner.runner import execute_job, payload_from_result
 
     job = _grid(machines=(NUMA_16,), n_schemes=1, seed=19)[0]
     result = execute_job(job)
-    raw = _encode_payload(payload_from_result(result))
+    raw = canonical_json(payload_from_result(result))
     expected = hashlib.sha256(canonical_result_bytes(result)).hexdigest()
     assert canonical_payload_digest(raw) == expected
     # And the service re-export still points at the same function.
@@ -459,6 +544,12 @@ def test_cache_stats_reports_fleet_counters(tmp_path, fleet):
     _wait_workers(fleet, 1)
     runner.run_many(_grid(machines=(NUMA_16,), n_schemes=2, seed=20))
     body = service.cache_stats()
+    assert set(body["dispatch"]) == {
+        "backend", "workers_registered", "workers_refused", "workers_lost",
+        "chunks_dispatched", "chunks_requeued", "chunks_failed",
+        "results_received", "duplicate_results", "cache_short_circuits",
+        "keys_joined", "digest_mismatches", "workers_connected", "poisoned",
+    }
     assert body["dispatch"]["backend"].startswith("fleet:")
     assert body["dispatch"]["workers_connected"] == 1
     assert body["dispatch"]["results_received"] == 2

@@ -20,7 +20,8 @@ import json
 
 import pytest
 
-from repro.analysis.serialization import canonical_result_bytes
+from repro.analysis import serialization
+from repro.analysis.serialization import canonical_json, canonical_result_bytes
 from repro.core.config import CMP_8, NUMA_16
 from repro.core.taxonomy import (
     MULTI_T_MV_FMM,
@@ -38,8 +39,8 @@ from repro.runner import (
 )
 from repro.runner import runner as runner_module
 from repro.runner.runner import (
-    _encode_payload,
     canonical_payload_digest,
+    compute_payload,
     payload_from_result,
 )
 
@@ -76,10 +77,11 @@ def test_record_reads_is_a_pure_observer_on_the_golden_grid():
 def test_stored_bytes_are_canonical_and_digest_is_their_hash():
     result = execute_job(_job())
     assert result.wall_clock_seconds > 0  # live results keep it
-    raw = _encode_payload(payload_from_result(result))
+    raw = canonical_json(payload_from_result(result))
+    assert compute_payload(_job()) == raw
     payload = json.loads(raw)
     assert "wall_clock_seconds" not in payload
-    assert _encode_payload(payload) == raw
+    assert canonical_json(payload) == raw
     assert raw == canonical_result_bytes(result)
     digest = hashlib.sha256(raw).hexdigest()
     assert canonical_payload_digest(raw) == digest
@@ -95,7 +97,7 @@ def test_disk_hit_promotes_the_stored_bytes_without_reencoding(
     def _no_encode(_payload):
         raise AssertionError("a disk hit re-encoded its payload")
 
-    monkeypatch.setattr(runner_module, "_encode_payload", _no_encode)
+    monkeypatch.setattr(serialization, "canonical_json", _no_encode)
     memory = MemoryResultCache()
     seen = []
     replayed = SweepRunner(jobs=1, cache=ResultCache(tmp_path),
@@ -138,6 +140,6 @@ def test_result_round_trips_with_and_without_the_read_map(record_reads):
     live = execute_job(job)
     assert bool(live.observed_reads) is record_reads
     replayed = runner_module.result_from_payload(
-        json.loads(_encode_payload(payload_from_result(live))))
+        json.loads(canonical_json(payload_from_result(live))))
     assert replayed.observed_reads == live.observed_reads
     assert canonical_result_bytes(replayed) == canonical_result_bytes(live)

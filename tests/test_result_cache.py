@@ -5,17 +5,18 @@ Contracts under test (see ``repro.runner.cache``):
 * the on-disk layout is ``<root>/<key[:2]>/<key>.json`` — a stable
   contract (a warm directory must survive releases and be mountable
   behind many frontends);
-* :class:`ShardedResultCache` speaks payload semantics over *any*
-  :class:`CacheBackend` (a four-method byte store), not just the
-  directory backend; and
+* :class:`ShardedResultCache` reads (``load_entry``) and writes
+  (``store_raw``) over *any* :class:`CacheBackend` (a four-method byte
+  store), not just the directory backend; and
 * a result is bit-identical no matter which tier replays it.
 """
 
 import json
+from dataclasses import asdict
 
 from repro.core.config import NUMA_16
 from repro.core.taxonomy import MULTI_T_MV_LAZY
-from repro.analysis.serialization import canonical_result_bytes
+from repro.analysis.serialization import canonical_json, canonical_result_bytes
 from repro.runner import (
     CacheBackend,
     DirectoryBackend,
@@ -26,7 +27,6 @@ from repro.runner import (
     SimJob,
     SweepRunner,
     WorkloadSpec,
-    migrate_flat_layout,
     shard_of,
 )
 
@@ -133,13 +133,14 @@ def test_sharded_cache_over_a_dict_backend():
     backend = DictBackend()
     cache = ShardedResultCache(backend)
     key = "ff" + "0" * 62
-    assert cache.load(key) is None
-    cache.store(key, {"kind": "x", "v": 2})
-    assert cache.load(key) == {"kind": "x", "v": 2}
+    assert cache.load_entry(key) is None
+    raw = canonical_json({"kind": "x", "v": 2})
+    cache.store_raw(key, raw)
+    assert cache.load_entry(key) == (raw, {"kind": "x", "v": 2})
     assert key in cache
     assert len(cache) == 1
-    assert cache.stats.to_dict() == {"hits": 1, "misses": 1,
-                                     "stores": 1, "evictions": 0}
+    assert asdict(cache.stats) == {"hits": 1, "misses": 1,
+                                   "stores": 1, "evictions": 0}
     assert cache.describe() == "DictBackend"
     assert cache.clear() == 1
     assert len(cache) == 0
@@ -149,9 +150,10 @@ def test_corrupt_backend_bytes_are_a_miss():
     backend = DictBackend()
     cache = ShardedResultCache(backend)
     backend.put("k", b"{not json")
-    assert cache.load("k") is None
+    assert cache.load_entry("k") is None
     assert cache.stats.misses == 1
-    # The bytes-and-payload read refuses them too: nothing serves them.
+    # Valid JSON that is not a payload object is refused too.
+    backend.put("k", b"[1,2]")
     assert cache.load_entry("k") is None
     assert cache.stats.misses == 2
 
@@ -231,37 +233,7 @@ def test_raw_and_decoded_paths_see_the_same_payload(tmp_path):
     cache = ResultCache(tmp_path)
     key = "ee" + "0" * 62
     payload = {"kind": "demo", "values": [1, 2, 3]}
-    cache.store(key, payload)
+    cache.store_raw(key, canonical_json(payload))
     raw, decoded = cache.load_entry(key)
+    assert raw == canonical_json(payload)
     assert json.loads(raw) == decoded == payload
-    assert cache.load(key) == payload
-
-
-def test_migrate_flat_layout_moves_entries_into_shards(tmp_path):
-    key_a = "ab" + "0" * 62
-    key_b = "cd" + "1" * 62
-    (tmp_path / f"{key_a}.json").write_text('{"kind": "flat-a"}')
-    (tmp_path / f"{key_b}.json").write_text('{"kind": "flat-b"}')
-    (tmp_path / "notes.json").write_text("{}")
-
-    counts = migrate_flat_layout(tmp_path)
-    assert counts == {"migrated": 2, "skipped_existing": 0, "ignored": 1}
-    assert not (tmp_path / f"{key_a}.json").exists()
-
-    cache = ResultCache(tmp_path)
-    assert cache.load(key_a) == {"kind": "flat-a"}
-    assert cache.load(key_b) == {"kind": "flat-b"}
-    # Migration is idempotent: nothing flat remains to move.
-    assert migrate_flat_layout(tmp_path)["migrated"] == 0
-
-
-def test_migrate_flat_layout_prefers_the_sharded_copy(tmp_path):
-    key = "ee" + "2" * 62
-    cache = ResultCache(tmp_path)
-    cache.store(key, {"kind": "sharded"})
-    (tmp_path / f"{key}.json").write_text('{"kind": "stale-flat"}')
-
-    counts = migrate_flat_layout(tmp_path)
-    assert counts["skipped_existing"] == 1
-    assert not (tmp_path / f"{key}.json").exists()
-    assert ResultCache(tmp_path).load(key) == {"kind": "sharded"}

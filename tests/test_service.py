@@ -260,9 +260,25 @@ def test_wrong_method_is_405(client):
 
 
 def test_cache_stats_shape(client):
+    # The exact wire shape: perfbench reads memory.hits/misses,
+    # shared.hits/misses and singleflight.led from this body.
     stats = client.cache_stats()
-    assert set(stats) >= {"engine_version", "memory", "shared",
-                          "singleflight", "service", "sweeps"}
+    assert stats.pop("_status") == 200  # added by the client
+    assert set(stats) == {"engine_version", "memory", "shared",
+                          "singleflight", "dispatch", "service", "sweeps"}
+    assert set(stats["memory"]) == {"hits", "misses", "stores",
+                                    "evictions", "entries", "max_entries"}
+    assert set(stats["shared"]) == {"hits", "misses", "stores",
+                                    "evictions", "backend", "entries"}
+    assert set(stats["singleflight"]) == {"led", "joined", "failed",
+                                          "timeouts"}
+    assert set(stats["service"]) == {"jobs.submitted", "sweeps.submitted",
+                                     "results.served"}
+    assert set(stats["sweeps"]) == {"submitted", "running"}
+    assert set(stats["dispatch"]) == {"backend", "pool_batches", "chunks",
+                                      "jobs", "serial_batches",
+                                      "pool_failures"}
+    assert stats["dispatch"]["backend"].startswith("local-pool:")
     assert stats["shared"]["backend"].startswith("directory:")
     assert stats["memory"]["entries"] >= 1
     assert stats["service"]["jobs.submitted"] >= 1

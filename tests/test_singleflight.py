@@ -10,6 +10,7 @@ the failure instead of deadlocking them.
 import threading
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeoutError
+from dataclasses import asdict
 
 import pytest
 
@@ -139,11 +140,11 @@ def test_waiters_block_until_the_leader_lands():
     assert seen == [b"shared"] * 4
 
 
-def test_stats_to_dict_round_trips():
+def test_stats_snapshot_is_a_plain_dict():
     flights = SingleFlight()
     flight, _ = flights.claim("k")
     flights.claim("k")
     flights.resolve("k", flight, b"x")
-    assert flights.stats.to_dict() == {
+    assert asdict(flights.stats) == {
         "led": 1, "joined": 1, "failed": 0, "timeouts": 0,
     }
