@@ -75,10 +75,6 @@ class TraceRecorder:
         """Number of recorded events of ``kind``."""
         return sum(1 for r in self._records if r.event is event)
 
-    def task_history(self, task_id: int) -> list[TraceRecord]:
-        """All events of one task, in time order."""
-        return self.records(task_id=task_id)
-
     def commit_order(self) -> list[int]:
         """Task IDs in the order their commits completed."""
         return [r.task_id for r in self._records

@@ -45,7 +45,10 @@ class WorkloadSpec:
     iterations_per_task: float = 1.0
 
     def generate(self) -> Workload:
-        """Build (and memoize) the workload this spec describes."""
+        """Build the workload this spec describes.
+
+        Not memoized here: ``_generate_cached`` is the process-local memo.
+        """
         from repro.workloads.apps import APPLICATIONS
 
         return APPLICATIONS[self.app].generate(

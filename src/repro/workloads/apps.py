@@ -116,10 +116,6 @@ class ApplicationProfile:
         if not 0 <= self.dep_victim_rate <= 1:
             raise WorkloadError(f"{self.name}: bad dep_victim_rate")
 
-    @property
-    def footprint_lines(self) -> int:
-        return self.priv_lines + self.out_lines
-
     def generate(self, *, seed: int = 0, scale: float = 1.0,
                  invocations: int = 1,
                  iterations_per_task: float = 1.0) -> Workload:
