@@ -55,7 +55,6 @@ def simulate_sequential(machine: MachineConfig,
             l1.touch(entry, now)
             entry.dirty = entry.dirty or dirty
             return float(machine.lat_l1)
-        l1.record_miss()
         entry = l2.find(line, ARCH_TASK_ID)
         if entry is not None:
             l2.touch(entry, now)

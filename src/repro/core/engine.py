@@ -306,7 +306,6 @@ class Simulation:
         l1_keys = [p.l1._key_slot for p in procs]
         l1_touch = [p.l1._touch for p in procs]
         l1_dirty = [p.l1._dirty for p in procs]
-        l1_stats = [p.l1.stats for p in procs]
         accounts = [p.account._cycles for p in procs]
         inflight_start = self._inflight_start
         inflight_busy = self._inflight_busy
@@ -395,7 +394,6 @@ class Simulation:
                                 # L1 hit on the exact version: touch,
                                 # record the read, complete at L1 latency.
                                 l1_touch[pid][slot] = when
-                                l1_stats[pid].hits += 1
                                 dstats.reads += 1
                                 if producer != tid:
                                     if producer != ARCH_TASK_ID:
@@ -435,7 +433,6 @@ class Simulation:
                                 (line << _KEY_SHIFT) + tid + 2)
                             if slot is not None:
                                 l1_touch[pid][slot] = when
-                                l1_stats[pid].hits += 1
                                 l1_dirty[pid][slot] = 1
                                 words = run.words_by_line.get(line)
                                 if words is None:
@@ -464,7 +461,6 @@ class Simulation:
                                             if reader > tid and seen < tid
                                         ]
                                         if violated:
-                                            dstats.violations += 1
                                             self._squash(min(violated), when)
                                 run.op_index = i + 1
                                 inflight_start[pid] = when
@@ -704,7 +700,6 @@ class Simulation:
         l2_slot = None if slot is not None else proc.l2._key_slot.get(key)
         if slot is not None:
             l1._touch[slot] = now
-            l1.stats.hits += 1
             l1._dirty[slot] = 1
             latency = self._lat_l1f
         elif l2_slot is not None:
@@ -837,9 +832,7 @@ class Simulation:
         slot = l1._key_slot.get(key)
         if slot is not None:
             l1._touch[slot] = now
-            l1.stats.hits += 1
             return self._lat_l1f
-        l1.stats.misses += 1
         l2 = proc.l2
         slot = l2._key_slot.get(key)
         if slot is not None:
@@ -1475,10 +1468,10 @@ class Simulation:
             ),
             memory_image=self.memory.image(),
             peak_overflow_lines=max(
-                (p.overflow.stats.peak_lines for p in self.procs), default=0
+                (p.overflow.peak_lines for p in self.procs), default=0
             ),
             peak_undolog_entries=max(
-                (p.undolog.stats.peak_entries for p in self.procs), default=0
+                (p.undolog.peak_entries for p in self.procs), default=0
             ),
             observed_reads={
                 (r.task_id, word): producer

@@ -2,9 +2,9 @@
 
 from repro.memsys.address import line_of, word_in_line, words_of_line
 from repro.memsys.cache import ARCH_TASK_ID, CacheLine, CacheStats, VersionCache
-from repro.memsys.mainmem import MainMemory, MemoryStats
-from repro.memsys.overflow import OverflowArea, OverflowStats
-from repro.memsys.undolog import LogEntry, UndoLog, UndoLogStats
+from repro.memsys.mainmem import MainMemory
+from repro.memsys.overflow import OverflowArea
+from repro.memsys.undolog import LogEntry, UndoLog
 
 __all__ = [
     "ARCH_TASK_ID",
@@ -12,11 +12,8 @@ __all__ = [
     "CacheStats",
     "LogEntry",
     "MainMemory",
-    "MemoryStats",
     "OverflowArea",
-    "OverflowStats",
     "UndoLog",
-    "UndoLogStats",
     "VersionCache",
     "line_of",
     "word_in_line",

@@ -157,14 +157,18 @@ class CacheLine:
 
 @dataclass
 class CacheStats:
-    """Aggregate counters for one cache instance."""
+    """Counters for one cache instance; only the L2's are read.
+
+    The engine counts ``hits`` and ``misses`` on its L2 lookups for
+    ``SimulationResult.l2_hit_rate``. :meth:`VersionCache.insert` and
+    :meth:`~VersionCache.install` count ``speculative_displacements`` on
+    every cache, and the L2 sums become
+    ``SimulationResult.l2_speculative_displacements``.
+    """
 
     hits: int = 0
     misses: int = 0
-    displacements: int = 0
     speculative_displacements: int = 0
-    committed_dirty_displacements: int = 0
-    peak_resident_lines: int = 0
 
     @property
     def accesses(self) -> int:
@@ -309,10 +313,6 @@ class VersionCache:
     def touch(self, entry: CacheLine, now: float) -> None:
         """Refresh LRU state after a hit."""
         entry.last_touch = now
-        self.stats.hits += 1
-
-    def record_miss(self) -> None:
-        self.stats.misses += 1
 
     # ------------------------------------------------------------------
     # Insertion / replacement
@@ -358,17 +358,10 @@ class VersionCache:
                         f"{self.set_index(line.line_addr)}"
                     )
             victim = min(candidates, key=lambda e: touch[e._slot])
-            speculative = victim.speculative
-            dirty = victim.dirty
-            self._unlink(victim, cache_set)
-            self.stats.displacements += 1
-            if speculative and dirty:
+            if victim.speculative and victim.dirty:
                 self.stats.speculative_displacements += 1
-            if victim._committed and dirty:
-                self.stats.committed_dirty_displacements += 1
+            self._unlink(victim, cache_set)
         self._link(line, cache_set)
-        if self._resident > self.stats.peak_resident_lines:
-            self.stats.peak_resident_lines = self._resident
         return victim
 
     def install(self, line_addr: int, task_id: int, *, dirty: bool,
@@ -401,15 +394,9 @@ class VersionCache:
         victim: CacheLine | None = None
         if len(cache_set) >= self.geometry.assoc:
             victim = min(cache_set, key=lambda e: touch[e._slot])
-            speculative = victim.speculative
-            was_dirty = victim.dirty
+            if victim.speculative and victim.dirty:
+                self.stats.speculative_displacements += 1
             self._unlink(victim, cache_set)
-            stats = self.stats
-            stats.displacements += 1
-            if speculative and was_dirty:
-                stats.speculative_displacements += 1
-            if victim._committed and was_dirty:
-                stats.committed_dirty_displacements += 1
         entry = CacheLine(line_addr, task_id, dirty, committed, now)
         # Inline _link.
         free = self._free
@@ -434,10 +421,7 @@ class VersionCache:
             self._by_task[task_id] = {line_addr: entry}
         else:
             task_lines[line_addr] = entry
-        resident = self._resident + 1
-        self._resident = resident
-        if resident > self.stats.peak_resident_lines:
-            self.stats.peak_resident_lines = resident
+        self._resident += 1
         return victim
 
     def remove(self, entry: CacheLine) -> None:

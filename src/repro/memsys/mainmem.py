@@ -17,20 +17,9 @@ test suite compare the final image against sequential execution exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from repro.memsys.cache import ARCH_TASK_ID
-
-
-@dataclass
-class MemoryStats:
-    """Counters for write-back traffic reaching main memory."""
-
-    writebacks: int = 0
-    words_updated: int = 0
-    rejected_words: int = 0
-    rejected_lines: int = 0
 
 
 class MainMemory:
@@ -39,7 +28,6 @@ class MainMemory:
     def __init__(self, mtid_enabled: bool = False) -> None:
         self.mtid_enabled = mtid_enabled
         self._words: dict[int, int] = {}
-        self.stats = MemoryStats()
 
     def producer_of(self, word_addr: int) -> int:
         """Producer task ID of the version memory holds for ``word_addr``."""
@@ -54,18 +42,10 @@ class MainMemory:
         VCL-ordered write-backs of Lazy AMM.
         """
         updated = 0
-        rejected = 0
         for word_addr, producer in words.items():
             if producer > self._words.get(word_addr, ARCH_TASK_ID):
                 self._words[word_addr] = producer
                 updated += 1
-            else:
-                rejected += 1
-        self.stats.writebacks += 1
-        self.stats.words_updated += updated
-        self.stats.rejected_words += rejected
-        if updated == 0 and rejected:
-            self.stats.rejected_lines += 1
         return updated
 
     def restore_words(self, words: Mapping[int, int]) -> None:

@@ -15,17 +15,6 @@ again", while under AMM every overflowed version is on the program's path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-
-@dataclass
-class OverflowStats:
-    """Counters for one processor's overflow area."""
-
-    spills: int = 0
-    fetches: int = 0
-    peak_lines: int = 0
-
 
 class OverflowArea:
     """Holds displaced speculative (and lazily-committed) line versions."""
@@ -33,23 +22,21 @@ class OverflowArea:
     def __init__(self, proc_id: int) -> None:
         self.proc_id = proc_id
         self._lines: dict[tuple[int, int], bool] = {}
-        self.stats = OverflowStats()
+        #: Most versions ever resident at once; the result reports the
+        #: maximum over processors as ``peak_overflow_lines``.
+        self.peak_lines = 0
 
     def spill(self, line_addr: int, task_id: int, committed: bool) -> None:
         """Accept a displaced dirty version of (``line_addr``, ``task_id``)."""
         self._lines[(line_addr, task_id)] = committed
-        self.stats.spills += 1
-        self.stats.peak_lines = max(self.stats.peak_lines, len(self._lines))
+        self.peak_lines = max(self.peak_lines, len(self._lines))
 
     def holds(self, line_addr: int, task_id: int) -> bool:
         return (line_addr, task_id) in self._lines
 
     def fetch(self, line_addr: int, task_id: int) -> bool:
         """Remove and return whether the version was present (refetch)."""
-        present = self._lines.pop((line_addr, task_id), None) is not None
-        if present:
-            self.stats.fetches += 1
-        return present
+        return self._lines.pop((line_addr, task_id), None) is not None
 
     def mark_committed(self, task_id: int) -> int:
         """Flip all of ``task_id``'s overflowed versions to committed."""

@@ -14,7 +14,7 @@ commits, and replayed in strict reverse task order on a squash.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ProtocolError
 
@@ -38,15 +38,6 @@ class LogEntry:
         return dict(self.words)
 
 
-@dataclass
-class UndoLogStats:
-    """Counters for undo-log (MHB) activity."""
-    appends: int = 0
-    frees: int = 0
-    restores: int = 0
-    peak_entries: int = 0
-
-
 class UndoLog:
     """The MHB of one processor (hardware ULOG or the software FMM.Sw log)."""
 
@@ -56,7 +47,9 @@ class UndoLog:
         #: (overwriting_task, line_addr) pairs already logged, to enforce
         #: the one-entry-per-first-write rule.
         self._logged: set[tuple[int, int]] = set()
-        self.stats = UndoLogStats()
+        #: Most entries ever live at once; the result reports the maximum
+        #: over processors as ``peak_undolog_entries``.
+        self.peak_entries = 0
 
     def needs_entry(self, overwriting_task: int, line_addr: int) -> bool:
         """True if ``overwriting_task`` has not yet logged ``line_addr``."""
@@ -78,8 +71,7 @@ class UndoLog:
             )
         self._logged.add(key)
         self._entries.append(entry)
-        self.stats.appends += 1
-        self.stats.peak_entries = max(self.stats.peak_entries, len(self._entries))
+        self.peak_entries = max(self.peak_entries, len(self._entries))
 
     def free_task(self, committed_task: int) -> int:
         """Free all entries created by ``committed_task`` (commit-time).
@@ -90,7 +82,6 @@ class UndoLog:
         freed = len(self._entries) - len(keep)
         self._entries = keep
         self._logged = {k for k in self._logged if k[0] != committed_task}
-        self.stats.frees += freed
         return freed
 
     def pop_entries_of(self, squashed_task: int) -> list[LogEntry]:
@@ -105,7 +96,6 @@ class UndoLog:
             self._entries = [e for e in self._entries
                              if e.overwriting_task != squashed_task]
             self._logged = {k for k in self._logged if k[0] != squashed_task}
-            self.stats.restores += len(mine)
         return list(reversed(mine))
 
     def entries(self) -> tuple[LogEntry, ...]:

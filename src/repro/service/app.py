@@ -119,7 +119,6 @@ class SimulationService:
             max_workers=max(1, workers), thread_name_prefix="repro-svc")
         self._loop: asyncio.AbstractEventLoop | None = None
         self._sweeps: dict[str, SweepState] = {}
-        self._sweep_seq = 0
         self.counters: dict[str, int] = {
             "jobs.submitted": 0,
             "sweeps.submitted": 0,
@@ -222,8 +221,7 @@ class SimulationService:
         history, waking every streaming subscriber.
         """
         self.counters["sweeps.submitted"] += 1
-        self._sweep_seq += 1
-        sweep_id = f"s{self._sweep_seq:06d}"
+        sweep_id = f"s{self.counters['sweeps.submitted']:06d}"
         distinct: list[str] = []
         seen: set[str] = set()
         descriptions = []
@@ -351,7 +349,7 @@ class SimulationService:
             "dispatch": self._dispatch_stats(runner),
             "service": dict(self.counters),
             "sweeps": {
-                "submitted": self._sweep_seq,
+                "submitted": self.counters["sweeps.submitted"],
                 "running": sum(1 for s in self._sweeps.values()
                                if not s.finished),
             },

@@ -357,14 +357,23 @@ class ServiceThread:
         self._server: asyncio.Server | None = None
         self._thread: threading.Thread | None = None
         self._ready = threading.Event()
+        self._start_error: OSError | None = None
 
     def start(self) -> "ServiceThread":
-        """Launch the loop thread; returns once the socket is bound."""
+        """Launch the loop thread; returns once the socket is bound.
+
+        A bind failure (say, the port is taken) raises at once, chained
+        to the loop thread's :class:`OSError`.
+        """
         self._thread = threading.Thread(
             target=self._run, name="repro-tls-serve", daemon=True)
         self._thread.start()
         if not self._ready.wait(timeout=30):
             raise RuntimeError("service thread failed to start")
+        if self._start_error is not None:
+            raise RuntimeError(
+                f"service thread failed to bind {self.host}:{self.port}"
+            ) from self._start_error
         return self
 
     def _run(self) -> None:
@@ -372,8 +381,13 @@ class ServiceThread:
 
     async def _main(self) -> None:
         self._loop = asyncio.get_running_loop()
-        self._server = await start_server(self.service, self.host,
-                                          self.port)
+        try:
+            self._server = await start_server(self.service, self.host,
+                                              self.port)
+        except OSError as exc:
+            self._start_error = exc
+            self._ready.set()
+            return
         self.port = bound_port(self._server)
         self._ready.set()
         try:

@@ -16,8 +16,8 @@ from repro.errors import ProtocolError
 
 @dataclass
 class CommitStats:
-    """Counters for the commit token protocol."""
-    commits: int = 0
+    """Commit-token timing: the result's ``token_hold_cycles`` and
+    ``commit_wavefront``."""
     #: Total cycles the token was held (sum of commit durations).
     token_hold_cycles: float = 0.0
     #: (task_id, start, end) per commit, for wavefront plots (Figure 6).
@@ -64,7 +64,6 @@ class CommitController:
             )
         self._in_flight = None
         self.next_to_commit += 1
-        self.stats.commits += 1
         self.stats.token_hold_cycles += end - start
         self.stats.wavefront.append((task_id, start, end))
 

@@ -38,10 +38,10 @@ _EMPTY: dict = {}
 
 @dataclass
 class DirectoryStats:
-    """Counters for version-directory traffic."""
+    """Counters for version-directory traffic, read by
+    :class:`~repro.obs.metrics.MetricsHook`."""
     reads: int = 0
     writes: int = 0
-    violations: int = 0
     forwarded_reads: int = 0
 
 
@@ -130,14 +130,11 @@ class VersionDirectory:
         readers = self._readers[row]
         if not readers:
             return []
-        violated = sorted(
+        return sorted(
             reader
             for reader, seen in readers.items()
             if reader > producer and seen < producer
         )
-        if violated:
-            self.stats.violations += 1
-        return violated
 
     def violated_readers(self, word_addr: int, producer: int) -> list[int]:
         """Readers of ``word_addr`` that a write by ``producer`` violates.

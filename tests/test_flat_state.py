@@ -66,9 +66,7 @@ def _snapshot(cache):
 
 def _stats_tuple(cache):
     s = cache.stats
-    return (s.hits, s.misses, s.displacements,
-            s.speculative_displacements, s.committed_dirty_displacements,
-            s.peak_resident_lines)
+    return (s.hits, s.misses, s.speculative_displacements)
 
 
 def _check_columns(cache):
@@ -183,7 +181,6 @@ class ReferenceDirectory:
         self.readers = {}
         self.reads = 0
         self.writes = 0
-        self.violations = 0
         self.forwarded_reads = 0
 
     def version_for_read(self, word, reader):
@@ -208,13 +205,10 @@ class ReferenceDirectory:
         idx = bisect_right(producers, producer)
         if idx == 0 or producers[idx - 1] != producer:
             insort(producers, producer)
-        violated = sorted(
+        return sorted(
             reader for reader, seen in self.readers.get(word, {}).items()
             if reader > producer and seen < producer
         )
-        if violated:
-            self.violations += 1
-        return violated
 
     def purge_task(self, task, written, read):
         for word in written:
@@ -281,10 +275,8 @@ def test_directory_rows_lockstep_with_reference(ops):
             directory.forget_reader(op[1])
             reference.forget_reader(op[1])
         stats = directory.stats
-        assert (stats.reads, stats.writes, stats.violations,
-                stats.forwarded_reads) == (
-            reference.reads, reference.writes, reference.violations,
-            reference.forwarded_reads)
+        assert (stats.reads, stats.writes, stats.forwarded_reads) == (
+            reference.reads, reference.writes, reference.forwarded_reads)
         for word in WORDS:
             assert (directory.producers_of(word)
                     == reference.producers.get(word, []))

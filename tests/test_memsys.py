@@ -39,8 +39,6 @@ class TestMainMemoryMTID:
         mem.writeback_words({100: 5})
         assert mem.writeback_words({100: 2}) == 0
         assert mem.producer_of(100) == 5
-        assert mem.stats.rejected_words == 1
-        assert mem.stats.rejected_lines == 1
 
     def test_equal_producer_rejected(self):
         mem = MainMemory()
@@ -80,8 +78,6 @@ class TestOverflowArea:
         assert overflow.fetch(0x100, 3)
         assert not overflow.holds(0x100, 3)
         assert not overflow.fetch(0x100, 3)
-        assert overflow.stats.spills == 1
-        assert overflow.stats.fetches == 1
 
     def test_drain_task(self):
         overflow = OverflowArea(0)
@@ -109,7 +105,7 @@ class TestOverflowArea:
         for i in range(5):
             overflow.spill(i, 1, committed=False)
         overflow.fetch(0, 1)
-        assert overflow.stats.peak_lines == 5
+        assert overflow.peak_lines == 5
 
 
 class TestUndoLog:

@@ -3,8 +3,7 @@
 import pytest
 
 from repro.analysis.report import render_timeline
-from repro.core.config import CacheGeometry
-from repro.memsys.cache import CacheLine, CacheStats, VersionCache
+from repro.memsys.cache import CacheStats
 from repro.core.taxonomy import MULTI_T_MV_LAZY, MergePolicy, TaskPolicy
 
 
@@ -33,15 +32,6 @@ class TestCacheStats:
 
     def test_hit_rate_no_accesses(self):
         assert CacheStats().hit_rate == 0.0
-
-    def test_cache_hit_miss_counting(self):
-        cache = VersionCache(CacheGeometry(512, 2))
-        cache.insert(CacheLine(0, 1), now=0)
-        entry = cache.find(0, 1)
-        cache.touch(entry, now=1)
-        cache.record_miss()
-        assert cache.stats.hits == 1
-        assert cache.stats.misses == 1
 
 
 class TestEnumStrings:

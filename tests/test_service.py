@@ -282,6 +282,8 @@ def test_cache_stats_shape(client):
     assert stats["shared"]["backend"].startswith("directory:")
     assert stats["memory"]["entries"] >= 1
     assert stats["service"]["jobs.submitted"] >= 1
+    assert (stats["sweeps"]["submitted"]
+            == stats["service"]["sweeps.submitted"])
 
 
 # ----------------------------------------------------------------------
@@ -403,6 +405,24 @@ def test_torn_cache_file_is_a_miss_not_a_500(tmp_path):
         client.close()
         thread.stop()
     assert path.read_bytes() == intact
+
+
+def test_bind_failure_raises_at_once_with_the_os_error():
+    """A taken port fails ``start()`` fast, chained to the bind error."""
+    import socket
+
+    service = SimulationService(use_disk=False)
+    with socket.socket() as holder:
+        holder.bind(("127.0.0.1", 0))
+        holder.listen()
+        try:
+            started = time.perf_counter()
+            with pytest.raises(RuntimeError, match="failed to bind") as info:
+                ServiceThread(service, port=holder.getsockname()[1]).start()
+            assert time.perf_counter() - started < 5.0
+            assert isinstance(info.value.__cause__, OSError)
+        finally:
+            service.close()
 
 
 def test_finished_sweeps_are_pruned_but_running_ones_kept(monkeypatch):

@@ -41,7 +41,6 @@ class TestViolationDetection:
         directory.record_write(100, 1)
         directory.record_read(100, 5, 1)
         assert directory.record_write(100, 3) == [5]
-        assert directory.stats.violations == 1
 
     def test_in_order_read_safe(self):
         """Reader 5 consumed version 3; a later write by 2 is older."""
